@@ -8,62 +8,20 @@ the operating point that maximizes the combined power/bandwidth figure of
 merit.
 """
 
-from .channel import ChannelConfig, add_awgn, calibrate_noise
-from .config import ExperimentConfig, load_config, parse_config_text
-from .dsp import (AlignmentAmbiguityWarning, ButterworthSpec, RrcSpec, align,
-                  design_butterworth, design_rrc, fir_filter, iir_filter)
-from .errors import ConfigurationError, StageError
-from .metrics import (LinkMetrics, PsdEstimate, efficiencies, information_rate,
-                      mutual_information, occupied_bandwidth, plugin_mi_bias,
-                      welch_psd)
-from .optimizer import GridPoint, GridResult, GridSpec, grid_search
-from .pa import HARMONIC_BOUND, PaConfig, PaOutput, am_am_curve
-from .pipeline import (QPSK_ALPHABET, VARIANTS, SystemConfig, bpf_spec_for,
-                       compare_systems, run_link)
-from .quantizers import RAIL_LEVEL, ConverterMode, one_bit_quantize
+from .config import ExperimentConfig
+from .dsp import AlignmentAmbiguityWarning, RrcSpec, design_rrc
+from .optimizer import grid_search
+from .pipeline import QPSK_ALPHABET
 
 __version__ = "0.1.0"
 
+# The names used at the package level; everything else is reached through
+# its module (onebitlink.pipeline.run_link, onebitlink.pa.clip, ...).
 __all__ = [
     "AlignmentAmbiguityWarning",
-    "ButterworthSpec",
-    "ChannelConfig",
-    "ConfigurationError",
-    "ConverterMode",
     "ExperimentConfig",
-    "GridPoint",
-    "GridResult",
-    "GridSpec",
-    "HARMONIC_BOUND",
-    "LinkMetrics",
-    "PaConfig",
-    "PaOutput",
-    "PsdEstimate",
     "QPSK_ALPHABET",
-    "RAIL_LEVEL",
     "RrcSpec",
-    "StageError",
-    "SystemConfig",
-    "VARIANTS",
-    "add_awgn",
-    "align",
-    "am_am_curve",
-    "bpf_spec_for",
-    "calibrate_noise",
-    "compare_systems",
-    "design_butterworth",
     "design_rrc",
-    "efficiencies",
-    "fir_filter",
     "grid_search",
-    "iir_filter",
-    "information_rate",
-    "load_config",
-    "mutual_information",
-    "occupied_bandwidth",
-    "one_bit_quantize",
-    "parse_config_text",
-    "plugin_mi_bias",
-    "run_link",
-    "welch_psd",
 ]

@@ -27,8 +27,9 @@ def _fmt(x):
     return "%.6g" % x
 
 
-def _metrics_row(system, ibo, bbpf, m, b=1.0):
-    vals = (ibo, bbpf, m.mi, m.rate_r / b, m.b_pa / b, m.p_pa, m.p_t,
+def _metrics_row(system, ibo, bbpf, m):
+    # Rates and bandwidths are already in units of B (the baud rate is 1).
+    vals = (ibo, bbpf, m.mi, m.rate_r, m.b_pa, m.p_pa, m.p_t,
             m.eta_p, m.eta_b, m.fom_normalized)
     return system + "," + ",".join(_fmt(v) for v in vals)
 
@@ -45,10 +46,13 @@ def _load_experiment(args):
         cfg = config_mod.load_config(args.config, base=cfg)
     if getattr(args, "system", None):
         cfg.variant = args.system
-    if getattr(args, "ibo", None) is not None:
-        cfg.ibo = args.ibo
-    if getattr(args, "bbpf", None) is not None:
-        cfg.bbpf_over_b = args.bbpf
+    for flag, attr in (("ibo", "ibo"), ("bbpf", "bbpf_over_b")):
+        text = getattr(args, flag, None)
+        if text is not None:
+            try:
+                setattr(cfg, attr, config_mod.finite_float(text))
+            except ValueError as exc:
+                raise ConfigurationError(f"bad value for --{flag}: {exc}") from exc
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "out", None):
@@ -60,11 +64,10 @@ def cmd_run(args):
     cfg = _load_experiment(args)
     sys_cfg = cfg.system_config()
     metrics = pipeline.run_link(sys_cfg, cfg.pa_config(), cfg.channel_config())
-    bins = sys_cfg.mi_bins if sys_cfg.mi_bins is not None else (8 if cfg.variant == "sys1" else 2)
-    n_used = cfg.n_symbols - 2 * cfg.rrc_span
+    bias = plugin_mi_bias(sys_cfg.effective_mi_bins, cfg.n_symbols - 2 * cfg.rrc_span)
     print(f"system={cfg.variant} ibo={_fmt(cfg.ibo)} b_bpf={_fmt(cfg.bbpf_over_b)}B "
           f"seed={cfg.seed}")
-    print(f"  mi={metrics.mi:.6f} bits  (plug-in bias ~ {plugin_mi_bias(bins, n_used):.4f})")
+    print(f"  mi={metrics.mi:.6f} bits  (plug-in bias ~ {bias:.4f})")
     print(f"  r_over_b={metrics.rate_r:.6f}  b_pa_over_b={metrics.b_pa:.6f}")
     print(f"  p_pa={metrics.p_pa:.6g}  p_t={metrics.p_t:.6g}  p_pa/p_t={metrics.p_pa / metrics.p_t:.4f}")
     print(f"  eta_p={metrics.eta_p:.6g}  eta_b={metrics.eta_b:.6g}  "
@@ -113,7 +116,7 @@ def cmd_sweep(args):
     cfg = _load_experiment(args)
     systems = (args.system,) if args.system else None
     grid = cfg.grid_spec(systems)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     result = optimizer.grid_search(grid, cfg.system_config(), cfg.pa_config(),
                                    cfg.channel_config(), jobs=jobs)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -163,8 +166,8 @@ def build_parser():
     p_run = sub.add_parser("run", help="evaluate a single operating point")
     p_run.add_argument("--config", help="key-value configuration file")
     p_run.add_argument("--system", choices=pipeline.VARIANTS)
-    p_run.add_argument("--ibo", type=float, help="input back-off v_sat/sigma")
-    p_run.add_argument("--bbpf", type=float, help="bandpass width in units of B")
+    p_run.add_argument("--ibo", help="input back-off v_sat/sigma")
+    p_run.add_argument("--bbpf", help="bandpass width in units of B")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", help="output directory (default results)")
     p_run.set_defaults(func=cmd_run)
@@ -174,7 +177,9 @@ def build_parser():
     p_sweep.add_argument("--system", choices=pipeline.VARIANTS,
                          help="restrict the sweep to one system variant")
     p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    p_sweep.add_argument("--jobs", type=int,
+                         help="worker processes, at most one per point and core "
+                              "(default: all cores)")
     p_sweep.add_argument("--out", help="output directory (default results)")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -8,10 +8,12 @@ reproduce the headline operating point (sys2, ibo 0.1, b_bpf 0.9B, 10 dB
 SINR, 10^4 symbols at 128 samples per symbol).
 
 List values are comma-separated (`grid.ibo = 0.0316,0.1,1,10`); the range
-form `lo:step:hi` (inclusive) is also accepted (`grid.bbpf = 0.4:0.1:2.0`).
+form `lo:step:hi` (inclusive, at most MAX_RANGE_VALUES values) is also
+accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite.
 """
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 from . import channel as channel_mod
 from . import dsp, optimizer, pipeline
@@ -19,14 +21,28 @@ from . import pa as pa_mod
 from .errors import ConfigurationError
 
 
+MAX_RANGE_VALUES = 10_000
+
+
+def finite_float(text):
+    """float(text), rejecting nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _float_list(text):
     if ":" in text:
-        parts = [p.strip() for p in text.split(":")]
+        parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("range form is lo:step:hi")
-        lo, step, hi = (float(p) for p in parts)
+        lo, step, hi = (finite_float(p) for p in parts)
         if step <= 0 or hi < lo:
             raise ValueError("range needs step > 0 and hi >= lo")
+        # Checked before the loop below runs: (hi - lo) / step bounds its length.
+        if not (hi - lo) / step < MAX_RANGE_VALUES - 1:
+            raise ValueError(f"range gives more than {MAX_RANGE_VALUES} values")
         out = []
         k = 0
         while True:
@@ -36,7 +52,7 @@ def _float_list(text):
             out.append(v)
             k += 1
         return tuple(out)
-    return tuple(float(p) for p in text.split(","))
+    return tuple(finite_float(p) for p in text.split(","))
 
 
 def _str_list(text):
@@ -53,20 +69,20 @@ _SCHEMA = {
     "system.variant": ("variant", str),
     "system.n_symbols": ("n_symbols", int),
     "system.analog_sps": ("analog_sps", int),
-    "system.fc_multiple": ("fc_multiple", float),
+    "system.fc_multiple": ("fc_multiple", finite_float),
     "system.adc_sps": ("adc_sps", int),
-    "system.rrc_rolloff": ("rrc_rolloff", float),
+    "system.rrc_rolloff": ("rrc_rolloff", finite_float),
     "system.rrc_span": ("rrc_span", int),
     "system.rrc_sps": ("rrc_sps", int),
     "system.lpf_order": ("lpf_order", int),
     "system.mi_bins": ("mi_bins", _optional_int),
-    "pa.ibo": ("ibo", float),
-    "pa.r_load": ("r_load", float),
-    "pa.bbpf_over_b": ("bbpf_over_b", float),
+    "pa.ibo": ("ibo", finite_float),
+    "pa.r_load": ("r_load", finite_float),
+    "pa.bbpf_over_b": ("bbpf_over_b", finite_float),
     "pa.bpf_order": ("bpf_order", int),
-    "channel.alpha": ("alpha", float),
-    "channel.sinr_db": ("sinr_db", float),
-    "channel.interference_ratio": ("interference_ratio", float),
+    "channel.alpha": ("alpha", finite_float),
+    "channel.sinr_db": ("sinr_db", finite_float),
+    "channel.interference_ratio": ("interference_ratio", finite_float),
     "grid.ibo": ("grid_ibo", _float_list),
     "grid.bbpf": ("grid_bbpf", _float_list),
     "grid.systems": ("grid_systems", _str_list),
@@ -100,23 +116,22 @@ class ExperimentConfig:
     grid_bbpf: tuple = tuple(round(0.4 + 0.1 * k, 10) for k in range(17))
     grid_systems: tuple = ("sys1", "sys2", "sys3")
 
-    def system_config(self, variant=None, seed=None):
+    def system_config(self):
         return pipeline.SystemConfig(
-            variant=variant or self.variant,
+            variant=self.variant,
             fc_multiple=self.fc_multiple,
             analog_sps=self.analog_sps,
             n_symbols=self.n_symbols,
             rrc=dsp.RrcSpec(self.rrc_rolloff, self.rrc_span, self.rrc_sps),
             lpf=dsp.ButterworthSpec(order=self.lpf_order, kind="lowpass", cutoff_high=1.0),
             adc_sps=self.adc_sps,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             mi_bins=self.mi_bins)
 
-    def pa_config(self, bbpf_over_b=None):
-        width = self.bbpf_over_b if bbpf_over_b is None else bbpf_over_b
+    def pa_config(self):
         return pa_mod.PaConfig(
             ibo=self.ibo, r_load=self.r_load,
-            bpf=pipeline.bpf_spec_for(width, self.system_config(), self.bpf_order))
+            bpf=pipeline.bpf_spec_for(self.bbpf_over_b, self.system_config(), self.bpf_order))
 
     def channel_config(self):
         return channel_mod.ChannelConfig(

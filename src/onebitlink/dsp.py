@@ -135,12 +135,7 @@ def fir_filter(x, taps):
 
 
 def iir_filter(x, sos):
-    """Apply a cascade of second-order sections to `x`."""
-    sos = np.atleast_2d(np.asarray(sos))
-    for section in sos:
-        poles = np.roots(section[3:])
-        if np.any(np.abs(poles) >= 1.0):
-            raise ConfigurationError("unstable second-order section passed to iir_filter")
+    """Apply second-order sections from design_butterworth (which checks stability) to `x`."""
     return sig.sosfilt(sos, np.asarray(x))
 
 
@@ -205,7 +200,7 @@ def paired_at_lag(tx, rx, lag, stride=1):
     return tx[n_lo:n_hi], rx[idx]
 
 
-def align(tx, rx_soft, stride=1, max_lag=None, ambiguity_rel_tol=0.01):
+def align(tx, rx_soft, stride=1, max_lag=None):
     """Find the lag and complex scale relating a received stream to tx symbols.
 
     The lag search pairs tx[n] with rx_soft[lag + stride*n] for lag in
@@ -213,9 +208,9 @@ def align(tx, rx_soft, stride=1, max_lag=None, ambiguity_rel_tol=0.01):
     and maximizes the magnitude of the normalized cross-correlation. The
     returned scalar c is the least-squares solution of tx ~ c * rx at the
     chosen lag, so callers can undo deterministic delay, rotation, and gain
-    in one step. If a second lag correlates within `ambiguity_rel_tol` of the
-    peak, an AlignmentAmbiguityWarning is issued and the smallest qualifying
-    lag is chosen.
+    in one step. If a second lag correlates within 1% of the peak, an
+    AlignmentAmbiguityWarning is issued and the smallest qualifying lag is
+    chosen.
     """
     tx = np.asarray(tx)
     rx_soft = np.asarray(rx_soft)
@@ -231,7 +226,7 @@ def align(tx, rx_soft, stride=1, max_lag=None, ambiguity_rel_tol=0.01):
     if metric.max() <= 0.0:
         raise ValueError("no overlap between tx and rx_soft within the lag window")
     peak = metric.max()
-    qualifying = lags[metric >= (1.0 - ambiguity_rel_tol) * peak]
+    qualifying = lags[metric >= 0.99 * peak]
     if len(qualifying) > 1:
         warnings.warn(
             f"correlation peak is ambiguous across lags {qualifying.tolist()}; "

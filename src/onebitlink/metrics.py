@@ -9,10 +9,12 @@ pmf sums. The estimator's positive bias is approximately
 quote it next to the estimate.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import signal as sig
+
+from .pa import HARMONIC_BOUND
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,11 @@ class PsdEstimate:
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """Per-operating-point results of one end-to-end link evaluation."""
+    """Per-operating-point results of one end-to-end link evaluation.
+
+    Construction rejects non-finite values, negative powers, p_t > (4/pi) p_pa
+    and MI outside [0, 2] bits.
+    """
 
     mi: float
     rate_r: float
@@ -39,6 +45,13 @@ class LinkMetrics:
     fom_normalized: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError(f"non-finite link metrics: {self}")
+        if self.p_pa < 0 or self.p_t < 0:
+            raise ValueError(f"powers must be nonnegative, got p_pa={self.p_pa}, p_t={self.p_t}")
+        if self.p_t > HARMONIC_BOUND * self.p_pa * (1.0 + 1e-9):
+            raise ValueError(
+                f"p_t={self.p_t} exceeds the clipped-harmonic bound (4/pi)*p_pa={HARMONIC_BOUND * self.p_pa}")
         if not -1e-9 <= self.mi <= 2.0 + 1e-9:
             raise ValueError(f"mutual information {self.mi} outside [0, 2]")
 
@@ -82,15 +95,8 @@ def plugin_mi_bias(bins_per_dim, n):
     return (n_cells - 1) / (2.0 * n * np.log(2.0))
 
 
-def information_rate(mi, b):
-    """Information rate R = B * I in bits per second."""
-    if mi < 0:
-        raise ValueError(f"mutual information must be nonnegative, got {mi}")
-    return b * mi
-
-
-def welch_psd(x, fs, segment_len=4096, overlap=None):
-    """Averaged-periodogram PSD (Hann window, one-sided density, no detrending).
+def welch_psd(x, fs, segment_len=4096):
+    """Averaged-periodogram PSD (Hann window, half-segment overlap, one-sided density).
 
     Normalization is Parseval-consistent: sum(values) * df equals the mean
     power of `x` up to windowing leakage.
@@ -98,24 +104,20 @@ def welch_psd(x, fs, segment_len=4096, overlap=None):
     x = np.asarray(x)
     if segment_len > len(x):
         raise ValueError(f"segment_len {segment_len} exceeds signal length {len(x)}")
-    if overlap is None:
-        overlap = segment_len // 2
     freqs, values = sig.welch(x, fs=fs, window="hann", nperseg=segment_len,
-                              noverlap=overlap, detrend=False,
+                              noverlap=segment_len // 2, detrend=False,
                               return_onesided=True, scaling="density")
     total = float(np.sum(values) * (freqs[1] - freqs[0]))
     return PsdEstimate(freqs=freqs, values=values, total_power=total)
 
 
-def occupied_bandwidth(psd, fc, fraction=0.9375):
-    """Smallest bandwidth around fc containing `fraction` of the total power.
+def occupied_bandwidth(psd, fc):
+    """Smallest bandwidth around fc containing 93.75% of the total power (the b_pa definition).
 
     The PSD is integrated bin-wise with linear interpolation at the band
     edges; the width is solved by bisection, so the result is exact for the
     interpolated cumulative integral.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     if psd.total_power <= 0.0:
         raise ValueError("occupied bandwidth of a zero-power PSD is undefined")
     f = psd.freqs
@@ -130,7 +132,7 @@ def occupied_bandwidth(psd, fc, fraction=0.9375):
         return (np.interp(fc + width / 2.0, edges, cum)
                 - np.interp(fc - width / 2.0, edges, cum))
 
-    target = fraction * psd.total_power
+    target = 0.9375 * psd.total_power
     lo, hi = 0.0, 2.0 * (edges[-1] - edges[0])
     for _ in range(60):
         mid = 0.5 * (lo + hi)

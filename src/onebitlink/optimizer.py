@@ -1,5 +1,7 @@
 """Exhaustive grid search over (system, ibo, b_bpf) maximizing the normalized FOM."""
 
+import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -59,13 +61,19 @@ def _point_seed(base_seed, i_ibo, j_bbpf, n_bbpf):
     return base_seed + i_ibo * n_bbpf + j_bbpf
 
 
-def _eval_point(args):
-    system, ibo, bbpf, seed, sys_cfg, pa_cfg, ch_cfg = args
+def _run_point(sys_cfg, pa_cfg, ch_cfg, system, ibo, bbpf, seed):
     cfg = replace(sys_cfg, variant=system, seed=seed)
     cfg_pa = replace(pa_cfg, ibo=ibo,
                      bpf=pipeline.bpf_spec_for(bbpf, cfg, pa_cfg.bpf.order))
+    # Looked up through the module on every call, so a wrapper installed on
+    # pipeline.run_link sees every point, pool workers included.
+    return pipeline.run_link(cfg, cfg_pa, ch_cfg)
+
+
+def _eval_point(runner, task):
+    system, ibo, bbpf, _ = task
     try:
-        return GridPoint(system, ibo, bbpf, metrics=pipeline.run_link(cfg, cfg_pa, ch_cfg))
+        return GridPoint(system, ibo, bbpf, metrics=runner(*task))
     except Exception as exc:
         return GridPoint(system, ibo, bbpf, error=f"{type(exc).__name__}: {exc}")
 
@@ -73,33 +81,32 @@ def _eval_point(args):
 def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     """Evaluate every grid point and return a GridResult.
 
-    Points run concurrently when jobs > 1 (process pool); results are always
-    collected into (system, ibo, b_bpf) order, so the output is independent
-    of scheduling. Per-point failures are recorded, not fatal; the argmax per
-    system is taken over its successful points, with exact FOM ties broken
-    toward smaller ibo, then smaller b_bpf. A system with no successful point
-    raises. `runner` substitutes the link evaluator for testing (serial only).
+    Each point is runner(system, ibo, b_bpf, seed); the default runner builds
+    the point's configs and calls pipeline.run_link; a substitute runner
+    must be picklable when jobs > 1. Points run concurrently when jobs > 1, in a process pool of
+    min(jobs, points, cpus) workers; results are always collected into
+    (system, ibo, b_bpf) order, so the output is independent of scheduling.
+    Per-point failures are recorded, not fatal; the argmax per system is
+    taken over its successful points, with exact FOM ties broken toward
+    smaller ibo, then smaller b_bpf. A system with no successful point raises.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    if runner is None:
+        runner = functools.partial(_run_point, sys_cfg, pa_cfg, ch_cfg)
     n_bbpf = len(grid.bbpf_values)
-    tasks = []
-    for system in sorted(grid.systems):
-        for i, ibo in enumerate(grid.ibo_values):
-            for j, bbpf in enumerate(grid.bbpf_values):
-                seed = _point_seed(sys_cfg.seed, i, j, n_bbpf)
-                tasks.append((system, float(ibo), float(bbpf), seed, sys_cfg, pa_cfg, ch_cfg))
+    tasks = [(system, float(ibo), float(bbpf), _point_seed(sys_cfg.seed, i, j, n_bbpf))
+             for system in sorted(grid.systems)
+             for i, ibo in enumerate(grid.ibo_values)
+             for j, bbpf in enumerate(grid.bbpf_values)]
 
-    if runner is not None:
-        points = []
-        for system, ibo, bbpf, seed, *_ in tasks:
-            try:
-                points.append(GridPoint(system, ibo, bbpf, metrics=runner(system, ibo, bbpf, seed)))
-            except Exception as exc:
-                points.append(GridPoint(system, ibo, bbpf, error=f"{type(exc).__name__}: {exc}"))
-    elif jobs == 1:
-        points = [_eval_point(t) for t in tasks]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    evaluate = functools.partial(_eval_point, runner)
+    if workers == 1:
+        points = [evaluate(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_eval_point, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(evaluate, tasks, chunksize=1))
 
     points.sort(key=lambda p: (p.system, p.ibo, p.b_bpf))
     argmax = {}

@@ -39,23 +39,6 @@ class PaConfig:
             raise ConfigurationError("pa reconstruction filter must be a bandpass design")
 
 
-@dataclass(frozen=True)
-class PaOutput:
-    """Amplifier output bundle: waveform, load current, and the two powers."""
-
-    y_p: np.ndarray
-    i_l: np.ndarray
-    p_pa: float
-    p_t: float
-
-    def __post_init__(self):
-        if self.p_pa < 0 or self.p_t < 0:
-            raise ValueError(f"powers must be nonnegative, got p_pa={self.p_pa}, p_t={self.p_t}")
-        if self.p_t > HARMONIC_BOUND * self.p_pa * (1.0 + 1e-9):
-            raise ValueError(
-                f"p_t={self.p_t} exceeds the clipped-harmonic bound (4/pi)*p_pa={HARMONIC_BOUND * self.p_pa}")
-
-
 def set_operating_point(ibo, x_p, window=slice(None)):
     """Saturation voltage for back-off `ibo`: v_sat = ibo * RMS(x_p[window])."""
     rms = np.sqrt(np.mean(np.square(np.asarray(x_p)[window])))
@@ -89,17 +72,17 @@ def transmit_power(i_l, y_p, window=slice(None)):
     return np.mean(i_l[window] * y_p[window])
 
 
-def am_am_curve(v_sat, amplitudes, samples_per_cycle=4096, n_cycles=8):
+def am_am_curve(v_sat, amplitudes):
     """First-harmonic transfer f(A) of the clipper, probed with pure tones.
 
     Each amplitude drives a sinusoid through the clipper and the fundamental
-    is read back with a single-bin DFT over an integer number of cycles. The
+    is read back with a single-bin DFT over 8 cycles of 4096 samples. The
     dense phase grid keeps harmonic aliasing negligible (< 1e-6 relative).
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if np.any(amplitudes <= 0):
         raise ValueError("probe amplitudes must be positive")
-    phase = 2.0 * np.pi * np.arange(n_cycles * samples_per_cycle) / samples_per_cycle
+    phase = 2.0 * np.pi * np.arange(8 * 4096) / 4096
     probe = np.exp(-1j * phase)
     tone = np.cos(phase)
     out = np.empty(len(amplitudes))

@@ -11,7 +11,7 @@ and returns the full LinkMetrics row.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,13 +24,11 @@ from .errors import ConfigurationError, StageError
 
 QPSK_ALPHABET = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
-VARIANTS = ("sys1", "sys2", "sys3")
-
-# Samples per symbol at the DAC input: the pulse-shaped variants hold 4
-# samples per symbol, the shaper-free variant converts raw symbols directly.
-_DAC_SPS = {"sys1": 4, "sys2": 4, "sys3": 1}
-_ONE_BIT = {"sys1": False, "sys2": True, "sys3": True}
-_MI_BINS = {"sys1": 8, "sys2": 2, "sys3": 2}
+# variant -> (samples per symbol at the DAC input, 1-bit converters, default
+# MI bins per dimension). The pulse-shaped variants hold 4 samples per
+# symbol, the shaper-free variant converts raw symbols directly.
+_VARIANT_TABLE = {"sys1": (4, False, 8), "sys2": (4, True, 2), "sys3": (1, True, 2)}
+VARIANTS = tuple(_VARIANT_TABLE)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,12 @@ class SystemConfig:
 
     @property
     def dac_sps(self):
-        return _DAC_SPS[self.variant]
+        return _VARIANT_TABLE[self.variant][0]
+
+    @property
+    def effective_mi_bins(self):
+        """MI bins per dimension in effect: the override, else the variant's default."""
+        return self.mi_bins if self.mi_bins is not None else _VARIANT_TABLE[self.variant][2]
 
     def fc(self):
         return self.fc_multiple * self.b
@@ -107,7 +110,7 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     """
     fs = sys_cfg.fs()
     fc = sys_cfg.fc()
-    one_bit = _ONE_BIT[sys_cfg.variant]
+    one_bit = _VARIANT_TABLE[sys_cfg.variant][1]
     span = sys_cfg.rrc.span
     seq = np.random.SeedSequence(sys_cfg.seed)
     sym_rng, noise_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
@@ -116,10 +119,11 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         tx = draw_symbols(sys_cfg.n_symbols, sym_rng)
 
     with _stage("tx-shaping"):
-        if sys_cfg.variant in ("sys1", "sys2"):
+        # One RRC design serves the transmit shaper and the receive matched filter.
+        taps = dsp.design_rrc(sys_cfg.rrc)
+        delay = dsp.fir_group_delay(taps)
+        if sys_cfg.dac_sps > 1:
             up = dsp.upsample_zero_insert(tx, sys_cfg.rrc.samples_per_symbol)
-            taps = dsp.design_rrc(sys_cfg.rrc)
-            delay = dsp.fir_group_delay(taps)
             dac_in = dsp.fir_filter(up, taps)[delay:delay + len(up)]
         else:
             dac_in = tx
@@ -144,13 +148,11 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
         y_p = pa_mod.bandpass_reconstruct(v_t, bpf_sos)
         i_l = y_p / pa_cfg.r_load
-        pa_out = pa_mod.PaOutput(
-            y_p=y_p, i_l=i_l,
-            p_pa=pa_mod.pa_power(i_l, v_sat, window),
-            p_t=pa_mod.transmit_power(i_l, y_p, window))
+        p_pa = pa_mod.pa_power(i_l, v_sat, window)
+        p_t = pa_mod.transmit_power(i_l, y_p, window)
 
     with _stage("channel"):
-        sigma_n2 = channel_mod.calibrate_noise(pa_out.p_t, ch_cfg)
+        sigma_n2 = channel_mod.calibrate_noise(p_t, ch_cfg)
         y_rx = channel_mod.add_awgn(y_p, sigma_n2, sys_cfg.b, fs, noise_rng)
 
     with _stage("rx"):
@@ -159,8 +161,6 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         rx = dsp.downsample(bb, sys_cfg.analog_sps // sys_cfg.adc_sps)
         if one_bit:
             rx = quantizers.one_bit_quantize(rx)
-        taps = dsp.design_rrc(sys_cfg.rrc)
-        delay = dsp.fir_group_delay(taps)
         rx = dsp.fir_filter(rx, taps)[delay:delay + len(rx)]
 
     with _stage("align"):
@@ -170,18 +170,17 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         keep = slice(span, len(tx_used) - span)
 
     with _stage("metrics"):
-        bins = sys_cfg.mi_bins if sys_cfg.mi_bins is not None else _MI_BINS[sys_cfg.variant]
-        mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep], bins)
-        rate_r = metrics_mod.information_rate(mi, sys_cfg.b)
+        mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep],
+                                            sys_cfg.effective_mi_bins)
+        rate_r = sys_cfg.b * mi
         psd = metrics_mod.welch_psd(y_p[window], fs)
         b_pa = metrics_mod.occupied_bandwidth(psd, fc)
         n0 = sigma_n2 / sys_cfg.b
         eta_p, eta_b, fom, fom_norm = metrics_mod.efficiencies(
-            rate_r, pa_out.p_pa, b_pa, n0, ch_cfg.alpha)
-
-    return metrics_mod.LinkMetrics(
-        mi=mi, rate_r=rate_r, b_pa=b_pa, p_pa=pa_out.p_pa, p_t=pa_out.p_t,
-        eta_p=eta_p, eta_b=eta_b, fom=fom, fom_normalized=fom_norm)
+            rate_r, p_pa, b_pa, n0, ch_cfg.alpha)
+        return metrics_mod.LinkMetrics(
+            mi=mi, rate_r=rate_r, b_pa=b_pa, p_pa=p_pa, p_t=p_t,
+            eta_p=eta_p, eta_b=eta_b, fom=fom, fom_normalized=fom_norm)
 
 
 def bpf_spec_for(bbpf_over_b, sys_cfg, order=4):
@@ -191,26 +190,3 @@ def bpf_spec_for(bbpf_over_b, sys_cfg, order=4):
                                cutoff_low=sys_cfg.fc() - half,
                                cutoff_high=sys_cfg.fc() + half)
 
-
-def compare_systems(bbpf_values, ibo, sys_cfg, pa_cfg, ch_cfg, systems=VARIANTS):
-    """FOM curves over b_bpf for several variants at one back-off.
-
-    Every variant sees the same derived seed at a given b_bpf (base seed plus
-    grid index), so the comparison is paired. Returns
-    {variant: [(b_bpf, LinkMetrics), ...]}.
-    """
-    bbpf_values = list(bbpf_values)
-    if not bbpf_values:
-        raise ValueError("empty b_bpf grid")
-    unknown = set(systems) - set(VARIANTS)
-    if unknown:
-        raise ConfigurationError(f"unknown system variants: {sorted(unknown)}")
-    curves = {}
-    for variant in systems:
-        rows = []
-        for j, bbpf in enumerate(bbpf_values):
-            cfg = replace(sys_cfg, variant=variant, seed=sys_cfg.seed + j)
-            cfg_pa = replace(pa_cfg, ibo=ibo, bpf=bpf_spec_for(bbpf, cfg, pa_cfg.bpf.order))
-            rows.append((bbpf, run_link(cfg, cfg_pa, ch_cfg)))
-        curves[variant] = rows
-    return curves

@@ -1,29 +1,11 @@
-"""Converter models: ideal (infinite resolution) and 1-bit per rail."""
-
-from dataclasses import dataclass
+"""Converter model: 1-bit per rail. Ideal converters pass samples through unchanged."""
 
 import numpy as np
-
-from .errors import ConfigurationError
 
 # Default rail level: 1-bit outputs (+-a +-ja) then have unit symbol energy,
 # matching the unit-energy QPSK source. Downstream RMS normalization makes the
 # exact value immaterial to the reported metrics.
 RAIL_LEVEL = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ConverterMode:
-    """Converter behavior: 'infinite' passes through, 'one_bit' keeps signs only."""
-
-    mode: str = "infinite"
-    level: float = RAIL_LEVEL
-
-    def __post_init__(self):
-        if self.mode not in ("infinite", "one_bit"):
-            raise ConfigurationError(f"converter mode must be infinite or one_bit, got {self.mode!r}")
-        if self.mode == "one_bit" and self.level <= 0:
-            raise ConfigurationError(f"one_bit rail level must be positive, got {self.level}")
 
 
 def one_bit_quantize(x, a=RAIL_LEVEL):
@@ -34,10 +16,3 @@ def one_bit_quantize(x, a=RAIL_LEVEL):
     re = np.where(x.real >= 0.0, a, -a)
     im = np.where(x.imag >= 0.0, a, -a)
     return re + 1j * im
-
-
-def convert(x, mode):
-    """Apply a ConverterMode to a complex sample stream."""
-    if mode.mode == "infinite":
-        return np.asarray(x)
-    return one_bit_quantize(x, mode.level)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,34 @@ class TestSweep:
         lines = (tmp_path / "o" / "grid.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("sys3,")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 0.9\n")
+        rc = cli.main(["sweep", "--config", cfg, "--jobs", jobs, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--ibo", "--bbpf"])
+    def test_run_non_finite_flag_exits_1(self, tmp_path, capsys, flag):
+        rc = cli.main(["run", flag, "nan", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "channel.sinr_db = nan\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "channel.sinr_db" in capsys.readouterr().err
+
+    def test_oversized_range_exits_1_quickly(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "grid.bbpf = 0.4:1e-12:2.0\n")
+        t0 = time.perf_counter()
+        rc = cli.main(["sweep", "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "grid.bbpf" in capsys.readouterr().err
 
 
 class TestAmam:

@@ -92,7 +92,8 @@ def test_builders_are_consistent():
 
 def test_builder_width_override():
     cfg = ExperimentConfig()
-    pa_cfg = cfg.pa_config(bbpf_over_b=2.0)
+    cfg.bbpf_over_b = 2.0
+    pa_cfg = cfg.pa_config()
     assert np.isclose(pa_cfg.bpf.cutoff_high - pa_cfg.bpf.cutoff_low, 2.0)
 
 
@@ -100,3 +101,29 @@ def test_invalid_built_config_surfaces_as_configuration_error():
     cfg = parse_config_text("system.variant = sys2\nsystem.adc_sps = 3\n")
     with pytest.raises(ConfigurationError):
         cfg.system_config()
+
+
+def test_default_range_text_gives_the_default_grid():
+    cfg = parse_config_text("grid.bbpf = 0.4:0.1:2.0\n")
+    assert cfg.grid_bbpf == ExperimentConfig().grid_bbpf
+    assert len(cfg.grid_bbpf) == 17
+
+
+@pytest.mark.parametrize("line", [
+    "channel.sinr_db = nan",
+    "pa.ibo = inf",
+    "channel.alpha = -inf",
+    "grid.ibo = 0.1, nan",
+    "grid.bbpf = 0.4:nan:2.0",
+])
+def test_non_finite_value_rejected_with_key(line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigurationError, match=f"{key}.*not a finite number"):
+        parse_config_text(line + "\n")
+
+
+def test_range_with_too_many_values_rejected():
+    with pytest.raises(ConfigurationError, match="grid.bbpf.*more than 10000 values"):
+        parse_config_text("grid.bbpf = 0.4:1e-12:2.0\n")
+    # the largest accepted range stays well inside the bound
+    assert len(parse_config_text("grid.ibo = 1:1:9999\n").grid_ibo) == 9999

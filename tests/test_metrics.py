@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onebitlink.metrics import (LinkMetrics, efficiencies, information_rate,
+from onebitlink.metrics import (LinkMetrics, PsdEstimate, efficiencies,
                                 mutual_information, occupied_bandwidth,
                                 plugin_mi_bias, welch_psd)
 
@@ -57,12 +57,6 @@ def test_plugin_bias_formula():
     assert np.isclose(plugin_mi_bias(2, 10000), 15.0 / (20000.0 * np.log(2.0)))
 
 
-def test_information_rate():
-    assert information_rate(1.5, 2.0) == 3.0
-    with pytest.raises(ValueError):
-        information_rate(-0.1, 1.0)
-
-
 class TestPsd:
     def test_parseval(self):
         rng = np.random.default_rng(7)
@@ -86,7 +80,6 @@ class TestOccupiedBandwidth:
     def test_rectangular_spectrum(self):
         # flat band of width 2 centered on fc: the 93.75% occupied width is
         # 0.9375 * 2 by construction
-        from onebitlink.metrics import PsdEstimate
         freqs = np.linspace(0.0, 64.0, 65536)
         values = np.where(np.abs(freqs - 30.0) <= 1.0, 1.0, 0.0)
         total = np.trapezoid(values, freqs)
@@ -94,12 +87,9 @@ class TestOccupiedBandwidth:
         width = occupied_bandwidth(psd, fc=30.0)
         assert np.isclose(width, 0.9375 * 2.0, rtol=1e-3)
 
-    def test_fraction_validation(self):
-        from onebitlink.metrics import PsdEstimate
+    def test_carrier_outside_psd_rejected(self):
         freqs = np.linspace(0.0, 64.0, 1024)
         psd = PsdEstimate(freqs=freqs, values=np.ones_like(freqs), total_power=64.0)
-        with pytest.raises(ValueError):
-            occupied_bandwidth(psd, fc=30.0, fraction=1.0)
         with pytest.raises(ValueError):
             occupied_bandwidth(psd, fc=200.0)
 
@@ -120,7 +110,30 @@ class TestEfficiencies:
             efficiencies(1.0, 1.0, -1.0, 0.01, 1.0)
 
 
+def _link_metrics(**changes):
+    fields = dict(mi=1.5, rate_r=1.5, b_pa=1.0, p_pa=1.0, p_t=1.0,
+                  eta_p=1.5, eta_b=1.5, fom=2.25, fom_normalized=0.1)
+    fields.update(changes)
+    return LinkMetrics(**fields)
+
+
 def test_link_metrics_mi_range_guard():
     with pytest.raises(ValueError):
-        LinkMetrics(mi=2.5, rate_r=2.5, b_pa=1.0, p_pa=1.0, p_t=1.0,
-                    eta_p=1.0, eta_b=1.0, fom=1.0, fom_normalized=1.0)
+        _link_metrics(mi=2.5, rate_r=2.5)
+
+
+def test_link_metrics_power_invariants():
+    # p_t above the clipped-harmonic bound (4/pi) p_pa, and a negative power
+    with pytest.raises(ValueError, match="harmonic bound"):
+        _link_metrics(p_pa=1.0, p_t=1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _link_metrics(p_pa=-0.1, p_t=0.0)
+    _link_metrics(p_pa=1.0, p_t=4.0 / np.pi)  # the bound itself is allowed
+
+
+@pytest.mark.parametrize("name", ["mi", "rate_r", "b_pa", "p_pa", "p_t", "eta_p",
+                                  "eta_b", "fom", "fom_normalized"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_link_metrics_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="non-finite"):
+        _link_metrics(**{name: value})

@@ -1,6 +1,8 @@
-import numpy as np
+import os
+
 import pytest
 
+from onebitlink import optimizer
 from onebitlink.channel import ChannelConfig
 from onebitlink.errors import ConfigurationError
 from onebitlink.metrics import LinkMetrics
@@ -128,3 +130,47 @@ class TestRealEvaluation:
         # the two variants consume the identical symbol and noise streams
         seeds = {system: seed for system, seed in seen}
         assert seeds["sys1"] == seeds["sys2"]
+
+
+def _fake_pool(monkeypatch, cpus):
+    """Replace the process pool with an in-process fake; returns the max_workers it got."""
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return started
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            grid_search(GridSpec((0.1,), (0.9,)), *_configs(),
+                        jobs=jobs, runner=lambda *task: _metrics(1.0))
+
+    @pytest.mark.parametrize("cpus,n_bbpf,expected", [(4, 2, 2), (3, 8, 3), (16, 5, 5)])
+    def test_workers_capped_at_points_and_cores(self, monkeypatch, cpus, n_bbpf, expected):
+        started = _fake_pool(monkeypatch, cpus)
+        grid = GridSpec((0.1,), tuple(0.5 + 0.1 * k for k in range(n_bbpf)))
+        res = grid_search(grid, *_configs(), jobs=64, runner=lambda *task: _metrics(1.0))
+        assert started == [expected]
+        assert len(res.points) == n_bbpf
+
+    def test_single_core_runs_serially(self, monkeypatch):
+        started = _fake_pool(monkeypatch, cpus=1)
+        grid_search(GridSpec((0.1, 1.0), (0.9,)), *_configs(), jobs=64,
+                    runner=lambda *task: _metrics(1.0))
+        assert started == []

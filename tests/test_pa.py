@@ -3,7 +3,7 @@ import pytest
 
 from onebitlink.dsp import ButterworthSpec, design_butterworth
 from onebitlink.errors import ConfigurationError
-from onebitlink.pa import (HARMONIC_BOUND, PaConfig, PaOutput, am_am_curve,
+from onebitlink.pa import (HARMONIC_BOUND, PaConfig, am_am_curve,
                            bandpass_reconstruct, clip, pa_power,
                            set_operating_point, transmit_power)
 
@@ -89,20 +89,12 @@ def test_clipped_sine_chain_respects_harmonic_bound():
     y_p = bandpass_reconstruct(v_t, sos)
     i_l = y_p / 1.0
     settle = slice(2048, n)
-    out = PaOutput(y_p=y_p, i_l=i_l,
-                   p_pa=pa_power(i_l, v_sat, settle),
-                   p_t=transmit_power(i_l, y_p, settle))
-    assert out.p_t <= HARMONIC_BOUND * out.p_pa * (1 + 1e-9)
+    p_pa = pa_power(i_l, v_sat, settle)
+    p_t = transmit_power(i_l, y_p, settle)
+    assert p_t <= HARMONIC_BOUND * p_pa * (1 + 1e-9)
     # hard-driven tone: fundamental amplitude approaches (4/pi) v_sat
-    amp = np.sqrt(2.0 * out.p_t)
+    amp = np.sqrt(2.0 * p_t)
     assert np.isclose(amp, HARMONIC_BOUND * v_sat, rtol=0.02)
-
-
-def test_pa_output_invariant_enforced():
-    with pytest.raises(ValueError):
-        PaOutput(y_p=np.zeros(1), i_l=np.zeros(1), p_pa=1.0, p_t=1.5)
-    with pytest.raises(ValueError):
-        PaOutput(y_p=np.zeros(1), i_l=np.zeros(1), p_pa=-0.1, p_t=0.0)
 
 
 def test_pa_config_validation():

@@ -8,8 +8,7 @@ from onebitlink.dsp import ButterworthSpec, RrcSpec
 from onebitlink.errors import ConfigurationError, StageError
 from onebitlink.pa import PaConfig
 from onebitlink.pipeline import (QPSK_ALPHABET, VARIANTS, SystemConfig,
-                                 bpf_spec_for, compare_systems, draw_symbols,
-                                 run_link)
+                                 bpf_spec_for, draw_symbols, run_link)
 
 
 def _configs(variant="sys2", n_symbols=10000, seed=1, bbpf=0.9, ibo=0.1):
@@ -41,6 +40,11 @@ class TestSystemConfig:
 
     def test_sys3_feeds_symbols_straight_to_dac(self):
         assert SystemConfig(variant="sys3").dac_sps == 1
+
+    def test_effective_mi_bins(self):
+        # soft receiver: 8 bins per dimension; 1-bit receivers: the 2 signs
+        assert [SystemConfig(variant=v).effective_mi_bins for v in VARIANTS] == [8, 2, 2]
+        assert SystemConfig(variant="sys1", mi_bins=4).effective_mi_bins == 4
 
     @pytest.mark.parametrize("kwargs", [
         dict(variant="sys4"),
@@ -107,26 +111,6 @@ class TestRunLink:
             run_link(sys_cfg, pa_cfg, ChannelConfig())
         assert err.value.stage == "pa"
         assert "pa" in str(err.value)
-
-
-class TestCompareSystems:
-    def test_all_variants_evaluated(self):
-        sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=2000)
-        out = compare_systems([0.8, 1.0], 0.1, sys_cfg, pa_cfg, ch_cfg)
-        assert set(out) == set(VARIANTS)
-        for rows in out.values():
-            assert [w for w, _ in rows] == [0.8, 1.0]
-
-    def test_rejects_empty_grid(self):
-        sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=2000)
-        with pytest.raises(ValueError):
-            compare_systems([], 0.1, sys_cfg, pa_cfg, ch_cfg)
-
-    def test_rejects_unknown_variant(self):
-        sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=2000)
-        with pytest.raises(ConfigurationError):
-            compare_systems([0.9], 0.1, sys_cfg, pa_cfg, ch_cfg,
-                            systems=("sys9",))
 
 
 def test_bpf_spec_for_centers_on_carrier():

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from onebitlink.errors import ConfigurationError
-from onebitlink.quantizers import RAIL_LEVEL, ConverterMode, convert, one_bit_quantize
+from onebitlink.quantizers import RAIL_LEVEL, one_bit_quantize
 
 
 def test_rail_level():
@@ -31,17 +29,3 @@ def test_zero_maps_to_positive_rail():
 def test_custom_level():
     y = one_bit_quantize(np.array([1 - 1j]), a=2.0)
     np.testing.assert_allclose(y, [2 - 2j])
-
-
-def test_convert_modes():
-    x = np.array([0.3 - 0.7j, -1.2 + 0.1j])
-    np.testing.assert_allclose(convert(x, ConverterMode(mode="infinite")), x)
-    np.testing.assert_allclose(convert(x, ConverterMode(mode="one_bit")),
-                               one_bit_quantize(x))
-
-
-def test_mode_validation():
-    with pytest.raises(ConfigurationError):
-        ConverterMode(mode="two_bit")
-    with pytest.raises(ConfigurationError):
-        ConverterMode(mode="one_bit", level=0.0)
