@@ -36,7 +36,7 @@ def calibrate_noise(p_t, cfg):
 
 
 def add_awgn(x, sigma_n2, b, fs, rng):
-    """Add white real Gaussian noise so a band of width `b` carries power sigma_n2.
+    """Add white Gaussian noise to the real waveform `x`; a band of width `b` gets power sigma_n2.
 
     The per-sample variance is sigma_n2 * (fs/2) / b, i.e. a flat one-sided
     density of sigma_n2 / b over [0, fs/2]. `rng` is an integer seed or a
@@ -49,4 +49,7 @@ def add_awgn(x, sigma_n2, b, fs, rng):
     if sigma_n2 == 0.0:
         return x
     gen = np.random.default_rng(rng)
-    return x + np.sqrt(sigma_n2 * (fs / 2.0) / b) * gen.standard_normal(len(x))
+    noise = gen.standard_normal(len(x))
+    noise *= np.sqrt(sigma_n2 * (fs / 2.0) / b)
+    noise += x
+    return noise

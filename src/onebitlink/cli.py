@@ -134,7 +134,7 @@ def cmd_sweep(args):
     ibo8 = _curve_files(result.points, cfg.out_dir)
     n_ok = len(result.points) - len(result.failures())
     print(f"evaluated {len(result.points)} grid points ({n_ok} ok, "
-          f"{len(result.failures())} failed) with jobs={jobs}")
+          f"{len(result.failures())} failed) with jobs={result.workers}")
     print(f"curve files fig4..fig8 written to {cfg.out_dir} (fig8 at ibo={_fmt(ibo8)})")
     for system in sorted(result.argmax):
         ibo_opt, bbpf_opt, fom = result.argmax[system]

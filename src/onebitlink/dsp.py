@@ -5,6 +5,7 @@ explicit arguments, normalized so the symbol rate is 1 (all frequencies are in
 multiples of the baud rate B).
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -163,6 +164,18 @@ def downsample(x, M, phase=0):
     return np.asarray(x)[phase::M]
 
 
+@functools.lru_cache(maxsize=1)
+def _carrier(n, fc, fs):
+    """Read-only exp(j 2 pi fc k / fs) for k in [0, n).
+
+    One frame length is in use per process, so a single cached entry serves
+    every upconvert and downconvert of a run or sweep; SystemConfig bounds n.
+    """
+    carrier = np.exp(2j * np.pi * fc * np.arange(n) / fs)
+    carrier.flags.writeable = False
+    return carrier
+
+
 def upconvert(x_bb, fc, fs):
     """Translate complex baseband to a real passband signal at carrier fc.
 
@@ -171,8 +184,8 @@ def upconvert(x_bb, fc, fs):
     """
     if fs <= 2.0 * fc:
         raise ConfigurationError(f"sample rate {fs} cannot carry fc={fc} (needs fs > 2 fc)")
-    n = np.arange(len(x_bb))
-    return np.real(np.asarray(x_bb) * np.exp(2j * np.pi * fc * n / fs))
+    x_bb = np.asarray(x_bb)
+    return np.real(x_bb * _carrier(len(x_bb), fc, fs))
 
 
 def downconvert(x_p, fc, fs):
@@ -180,8 +193,8 @@ def downconvert(x_p, fc, fs):
 
     The caller applies a lowpass to remove the residual component at 2 fc.
     """
-    n = np.arange(len(x_p))
-    return 2.0 * np.asarray(x_p) * np.exp(-2j * np.pi * fc * n / fs)
+    x_p = np.asarray(x_p)
+    return 2.0 * x_p * np.conj(_carrier(len(x_p), fc, fs))
 
 
 def paired_at_lag(tx, rx, lag, stride=1):

@@ -30,6 +30,8 @@ class GridSpec:
                 raise ConfigurationError(f"{name} grid must be strictly increasing")
         if not self.systems:
             raise ConfigurationError("empty system list")
+        if len(set(self.systems)) != len(self.systems):
+            raise ConfigurationError(f"repeated system variants in {list(self.systems)}")
         unknown = set(self.systems) - set(pipeline.VARIANTS)
         if unknown:
             raise ConfigurationError(f"unknown system variants: {sorted(unknown)}")
@@ -46,10 +48,12 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class GridResult:
-    """All evaluated points plus the per-system argmax of the normalized FOM."""
+    """All evaluated points, the per-system argmax of the normalized FOM, and
+    the number of worker processes started (1 when run in process)."""
 
     points: tuple
     argmax: dict
+    workers: int
 
     def failures(self):
         return [p for p in self.points if p.metrics is None]
@@ -120,4 +124,4 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
         if best is None:
             raise RuntimeError(f"every grid point of {system} failed; no argmax exists")
         argmax[system] = (best.ibo, best.b_bpf, best.metrics.fom_normalized)
-    return GridResult(points=tuple(points), argmax=argmax)
+    return GridResult(points=tuple(points), argmax=argmax, workers=workers)

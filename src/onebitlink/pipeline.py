@@ -30,6 +30,10 @@ QPSK_ALPHABET = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 _VARIANT_TABLE = {"sys1": (4, False, 8), "sys2": (4, True, 2), "sys3": (1, True, 2)}
 VARIANTS = tuple(_VARIANT_TABLE)
 
+# Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
+# run holds about three complex frames at its peak, plus one cached carrier.
+MAX_FRAME_SAMPLES = 2 ** 24
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -54,6 +58,10 @@ class SystemConfig:
         if self.n_symbols <= 4 * self.rrc.span:
             raise ConfigurationError(
                 f"n_symbols={self.n_symbols} leaves no samples after edge trimming")
+        if self.n_symbols * self.analog_sps > MAX_FRAME_SAMPLES:
+            raise ConfigurationError(
+                f"n_symbols * analog_sps = {self.n_symbols * self.analog_sps} exceeds the "
+                f"{MAX_FRAME_SAMPLES}-sample frame limit")
         if self.analog_sps % self.dac_sps or self.analog_sps % self.adc_sps:
             raise ConfigurationError(
                 f"analog_sps={self.analog_sps} must be divisible by dac_sps={self.dac_sps} "
@@ -73,6 +81,10 @@ class SystemConfig:
     @property
     def dac_sps(self):
         return _VARIANT_TABLE[self.variant][0]
+
+    @property
+    def one_bit(self):
+        return _VARIANT_TABLE[self.variant][1]
 
     @property
     def effective_mi_bins(self):
@@ -101,6 +113,48 @@ def _stage(name):
         raise StageError(name, str(exc)) from exc
 
 
+def _transmit(dac_in, sys_cfg, pa_cfg, window):
+    """The dac and pa stages: DAC input samples to amplifier output.
+
+    Returns the transmit lowpass (the receiver reuses it), the amplifier
+    output y_p and the powers p_pa and p_t. Each frame-length intermediate is
+    rebound as soon as its successor exists, so it is freed after its last use.
+    """
+    fs = sys_cfg.fs()
+    with _stage("dac"):
+        if sys_cfg.one_bit:
+            dac_in = quantizers.one_bit_quantize(dac_in)
+        wave = dsp.zoh_hold(dac_in, sys_cfg.analog_sps // sys_cfg.dac_sps)
+        lpf_sos = dsp.design_butterworth(sys_cfg.lpf, fs)
+        wave = dsp.iir_filter(wave, lpf_sos)
+
+    with _stage("pa"):
+        wave = dsp.upconvert(wave, sys_cfg.fc(), fs)
+        wave = wave / np.sqrt(np.mean(np.square(wave[window])))  # x_p, unit RMS
+        v_sat = pa_mod.set_operating_point(pa_cfg.ibo, wave, window)
+        wave = pa_mod.clip(wave, v_sat)  # v_t
+        bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
+        y_p = pa_mod.bandpass_reconstruct(wave, bpf_sos)
+        i_l = y_p / pa_cfg.r_load
+        p_pa = pa_mod.pa_power(i_l, v_sat, window)
+        p_t = pa_mod.transmit_power(i_l, y_p, window)
+    return lpf_sos, y_p, p_pa, p_t
+
+
+def _receive(y_rx, lpf_sos, taps, delay, sys_cfg):
+    """The rx stage: received passband waveform to matched-filter outputs at adc_sps.
+
+    Only the short output outlives the call; the frame-length baseband does not.
+    """
+    with _stage("rx"):
+        bb = dsp.downconvert(y_rx, sys_cfg.fc(), sys_cfg.fs())
+        bb = dsp.iir_filter(bb, lpf_sos)
+        rx = dsp.downsample(bb, sys_cfg.analog_sps // sys_cfg.adc_sps)
+        if sys_cfg.one_bit:
+            rx = quantizers.one_bit_quantize(rx)
+        return dsp.fir_filter(rx, taps)[delay:delay + len(rx)]
+
+
 def run_link(sys_cfg, pa_cfg, ch_cfg):
     """Run the full chain once and return LinkMetrics.
 
@@ -110,7 +164,6 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     """
     fs = sys_cfg.fs()
     fc = sys_cfg.fc()
-    one_bit = _VARIANT_TABLE[sys_cfg.variant][1]
     span = sys_cfg.rrc.span
     seq = np.random.SeedSequence(sys_cfg.seed)
     sym_rng, noise_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
@@ -128,40 +181,18 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         else:
             dac_in = tx
 
-    with _stage("dac"):
-        if one_bit:
-            dac_in = quantizers.one_bit_quantize(dac_in)
-        analog = dsp.zoh_hold(dac_in, sys_cfg.analog_sps // sys_cfg.dac_sps)
-        lpf_sos = dsp.design_butterworth(sys_cfg.lpf, fs)
-        analog = dsp.iir_filter(analog, lpf_sos)
-
     # Edge-trim window at the analog rate: the first and last span-many
     # symbols carry filter transients and are excluded from every statistic.
     trim = span * sys_cfg.analog_sps
-    window = slice(trim, len(analog) - trim)
+    window = slice(trim, sys_cfg.n_symbols * sys_cfg.analog_sps - trim)
 
-    with _stage("pa"):
-        x_p = dsp.upconvert(analog, fc, fs)
-        x_p = x_p / np.sqrt(np.mean(np.square(x_p[window])))
-        v_sat = pa_mod.set_operating_point(pa_cfg.ibo, x_p, window)
-        v_t = pa_mod.clip(x_p, v_sat)
-        bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
-        y_p = pa_mod.bandpass_reconstruct(v_t, bpf_sos)
-        i_l = y_p / pa_cfg.r_load
-        p_pa = pa_mod.pa_power(i_l, v_sat, window)
-        p_t = pa_mod.transmit_power(i_l, y_p, window)
+    lpf_sos, y_p, p_pa, p_t = _transmit(dac_in, sys_cfg, pa_cfg, window)
 
     with _stage("channel"):
         sigma_n2 = channel_mod.calibrate_noise(p_t, ch_cfg)
         y_rx = channel_mod.add_awgn(y_p, sigma_n2, sys_cfg.b, fs, noise_rng)
 
-    with _stage("rx"):
-        bb = dsp.downconvert(y_rx, fc, fs)
-        bb = dsp.iir_filter(bb, lpf_sos)
-        rx = dsp.downsample(bb, sys_cfg.analog_sps // sys_cfg.adc_sps)
-        if one_bit:
-            rx = quantizers.one_bit_quantize(rx)
-        rx = dsp.fir_filter(rx, taps)[delay:delay + len(rx)]
+    rx = _receive(y_rx, lpf_sos, taps, delay, sys_cfg)
 
     with _stage("align"):
         lag, c = dsp.align(tx, rx, stride=sys_cfg.adc_sps)

@@ -1,0 +1,33 @@
+import os
+
+import pytest
+
+from onebitlink import optimizer
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """fake_pool(cpus) swaps the process pool for an in-process fake on a `cpus`-core
+    machine and returns the list of max_workers values the pool was started with."""
+
+    def install(cpus):
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(optimizer, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return started
+
+    return install

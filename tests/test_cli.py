@@ -116,6 +116,15 @@ class TestSweep:
         assert "argmax sys2:" in out
         assert "ibo_opt=" in out and "bbpf_opt=" in out
 
+    def test_reports_the_workers_started(self, tmp_path, capsys, fake_pool):
+        fake_pool(2)
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(SWEEP_CFG)
+        rc = cli.main(["sweep", "--config", str(cfgfile), "--jobs", "64",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "(4 ok, 0 failed) with jobs=2\n" in capsys.readouterr().out
+
     def test_system_flag_restricts(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 0.9\n")
@@ -145,6 +154,22 @@ class TestBadInput:
         cfg = _write_cfg(tmp_path, "channel.sinr_db = nan\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "channel.sinr_db" in capsys.readouterr().err
+
+    def test_repeated_system_exits_1_without_output(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 0.9\n"
+                         + "grid.systems = sys2, sys2\n")
+        rc = cli.main(["sweep", "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "grid.csv").exists()
+
+    def test_oversized_frame_exits_1_before_allocating(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "system.n_symbols = 1000000000\n")
+        t0 = time.perf_counter()
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "frame limit" in capsys.readouterr().err
 
     def test_oversized_range_exits_1_quickly(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "grid.bbpf = 0.4:1e-12:2.0\n")

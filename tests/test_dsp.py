@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onebitlink import dsp
 from onebitlink.dsp import (AlignmentAmbiguityWarning, ButterworthSpec, RrcSpec,
                             align, design_butterworth, design_rrc, downconvert,
                             downsample, fir_filter, fir_group_delay, iir_filter,
@@ -148,6 +149,27 @@ class TestMixers:
     def test_upconvert_requires_headroom(self):
         with pytest.raises(ConfigurationError):
             upconvert(np.ones(8, dtype=complex), fc=40.0, fs=64.0)
+
+    def test_cached_carrier_matches_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        fc, fs = 30.0, 128.0
+        for n in (4096, 1000, 4096):  # a length change replaces the one cached carrier
+            x_bb = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x_p = rng.standard_normal(n)
+            k = np.arange(n)
+            up_ref = np.real(x_bb * np.exp(2j * np.pi * fc * k / fs))
+            down_ref = 2.0 * x_p * np.exp(-2j * np.pi * fc * k / fs)
+            up = upconvert(x_bb, fc, fs)
+            down = downconvert(x_p, fc, fs)
+            assert np.array_equal(up.view(np.uint64), up_ref.view(np.uint64))
+            assert np.array_equal(down.view(np.uint64), down_ref.view(np.uint64))
+            assert dsp._carrier.cache_info().currsize <= 1
+
+    def test_cached_carrier_is_read_only(self):
+        carrier = dsp._carrier(64, 8.0, 64.0)
+        assert not carrier.flags.writeable
+        with pytest.raises(ValueError):
+            carrier[0] = 0.0
 
 
 class TestAlign:

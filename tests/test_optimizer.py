@@ -1,8 +1,5 @@
-import os
-
 import pytest
 
-from onebitlink import optimizer
 from onebitlink.channel import ChannelConfig
 from onebitlink.errors import ConfigurationError
 from onebitlink.metrics import LinkMetrics
@@ -30,6 +27,7 @@ class TestGridSpec:
         dict(ibo_values=(0.1,), bbpf_values=(1.0, 0.5)),
         dict(ibo_values=(0.1,), bbpf_values=(0.9,), systems=()),
         dict(ibo_values=(0.1,), bbpf_values=(0.9,), systems=("sysX",)),
+        dict(ibo_values=(0.1,), bbpf_values=(0.9,), systems=("sys2", "sys2")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -132,28 +130,6 @@ class TestRealEvaluation:
         assert seeds["sys1"] == seeds["sys2"]
 
 
-def _fake_pool(monkeypatch, cpus):
-    """Replace the process pool with an in-process fake; returns the max_workers it got."""
-    started = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return started
-
-
 class TestJobs:
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_jobs_below_one(self, jobs):
@@ -162,15 +138,17 @@ class TestJobs:
                         jobs=jobs, runner=lambda *task: _metrics(1.0))
 
     @pytest.mark.parametrize("cpus,n_bbpf,expected", [(4, 2, 2), (3, 8, 3), (16, 5, 5)])
-    def test_workers_capped_at_points_and_cores(self, monkeypatch, cpus, n_bbpf, expected):
-        started = _fake_pool(monkeypatch, cpus)
+    def test_workers_capped_at_points_and_cores(self, fake_pool, cpus, n_bbpf, expected):
+        started = fake_pool(cpus)
         grid = GridSpec((0.1,), tuple(0.5 + 0.1 * k for k in range(n_bbpf)))
         res = grid_search(grid, *_configs(), jobs=64, runner=lambda *task: _metrics(1.0))
         assert started == [expected]
+        assert res.workers == expected
         assert len(res.points) == n_bbpf
 
-    def test_single_core_runs_serially(self, monkeypatch):
-        started = _fake_pool(monkeypatch, cpus=1)
-        grid_search(GridSpec((0.1, 1.0), (0.9,)), *_configs(), jobs=64,
-                    runner=lambda *task: _metrics(1.0))
+    def test_single_core_runs_serially(self, fake_pool):
+        started = fake_pool(1)
+        res = grid_search(GridSpec((0.1, 1.0), (0.9,)), *_configs(), jobs=64,
+                          runner=lambda *task: _metrics(1.0))
         assert started == []
+        assert res.workers == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from onebitlink.channel import ChannelConfig
 from onebitlink.dsp import ButterworthSpec, RrcSpec
 from onebitlink.errors import ConfigurationError, StageError
 from onebitlink.pa import PaConfig
-from onebitlink.pipeline import (QPSK_ALPHABET, VARIANTS, SystemConfig,
+from onebitlink.pipeline import (MAX_FRAME_SAMPLES, QPSK_ALPHABET, VARIANTS, SystemConfig,
                                  bpf_spec_for, draw_symbols, run_link)
 
 
@@ -54,6 +55,7 @@ class TestSystemConfig:
         dict(fc_multiple=63.0),                    # carrier too close to Nyquist
         dict(rrc=RrcSpec(samples_per_symbol=8)),   # shaper rate != adc rate
         dict(mi_bins=1),
+        dict(n_symbols=MAX_FRAME_SAMPLES // 128 + 1),  # frame above the size limit
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -100,6 +102,21 @@ class TestRunLink:
         pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg))
         m = run_link(sys_cfg, pa_cfg, ChannelConfig())
         assert 0.0 <= m.mi <= 2.0
+
+    def test_peak_memory_stays_near_three_frames(self):
+        # Each frame-length buffer is freed after its last stage, so about three
+        # complex frames are live at the peak; keeping the dac, pa, channel and
+        # rx buffers until the PSD runs would take it past six.
+        sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=2000)
+        run_link(sys_cfg, pa_cfg, ch_cfg)  # builds the cached carrier outside the trace
+        tracemalloc.start()
+        try:
+            run_link(sys_cfg, pa_cfg, ch_cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        complex_frame = 16 * sys_cfg.n_symbols * sys_cfg.analog_sps
+        assert peak <= 4.5 * complex_frame, f"peak {peak / complex_frame:.2f} complex frames"
 
     def test_stage_error_names_the_stage(self):
         sys_cfg = SystemConfig(n_symbols=2000)
