@@ -26,6 +26,13 @@ class ChannelConfig:
         if self.interference_ratio < 0:
             raise ConfigurationError(
                 f"interference_ratio must be nonnegative, got {self.interference_ratio}")
+        try:
+            sinr = 10.0 ** (self.sinr_db / 10.0)  # raises instead of returning inf
+        except OverflowError:
+            sinr = 0.0
+        if sinr == 0.0:
+            raise ConfigurationError(
+                f"sinr_db={self.sinr_db} has no positive finite linear value")
 
 
 def calibrate_noise(p_t, cfg):

@@ -41,11 +41,10 @@ def _write_lines(path, lines):
 
 
 def _load_experiment(args):
-    cfg = config_mod.ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = config_mod.load_config(args.config, base=cfg)
-    if getattr(args, "system", None):
+    cfg = config_mod.load_config(args.config) if args.config else config_mod.ExperimentConfig()
+    if args.system:
         cfg.variant = args.system
+        cfg.grid_systems = (args.system,)
     for flag, attr in (("ibo", "ibo"), ("bbpf", "bbpf_over_b")):
         text = getattr(args, flag, None)
         if text is not None:
@@ -114,8 +113,7 @@ def _curve_files(points, out_dir):
 
 def cmd_sweep(args):
     cfg = _load_experiment(args)
-    systems = (args.system,) if args.system else None
-    grid = cfg.grid_spec(systems)
+    grid = cfg.grid_spec()
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     result = optimizer.grid_search(grid, cfg.system_config(), cfg.pa_config(),
                                    cfg.channel_config(), jobs=jobs)

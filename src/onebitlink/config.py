@@ -13,7 +13,7 @@ accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import channel as channel_mod
 from . import dsp, optimizer, pipeline
@@ -40,18 +40,15 @@ def _float_list(text):
         lo, step, hi = (finite_float(p) for p in parts)
         if step <= 0 or hi < lo:
             raise ValueError("range needs step > 0 and hi >= lo")
-        # Checked before the loop below runs: (hi - lo) / step bounds its length.
-        if not (hi - lo) / step < MAX_RANGE_VALUES - 1:
-            raise ValueError(f"range gives more than {MAX_RANGE_VALUES} values")
+        # Bounded by count, not by (hi - lo) / step: a step below the spacing
+        # of floats near lo leaves lo + k * step unchanged for many k.
         out = []
-        k = 0
-        while True:
+        for k in range(MAX_RANGE_VALUES + 1):
             v = round(lo + k * step, 10)
             if v > hi + step * 1e-6:
-                break
+                return tuple(out)
             out.append(v)
-            k += 1
-        return tuple(out)
+        raise ValueError(f"range gives more than {MAX_RANGE_VALUES} values")
     return tuple(finite_float(p) for p in text.split(","))
 
 
@@ -70,10 +67,8 @@ _SCHEMA = {
     "system.n_symbols": ("n_symbols", int),
     "system.analog_sps": ("analog_sps", int),
     "system.fc_multiple": ("fc_multiple", finite_float),
-    "system.adc_sps": ("adc_sps", int),
     "system.rrc_rolloff": ("rrc_rolloff", finite_float),
     "system.rrc_span": ("rrc_span", int),
-    "system.rrc_sps": ("rrc_sps", int),
     "system.lpf_order": ("lpf_order", int),
     "system.mi_bins": ("mi_bins", _optional_int),
     "pa.ibo": ("ibo", finite_float),
@@ -99,10 +94,8 @@ class ExperimentConfig:
     n_symbols: int = 10_000
     analog_sps: int = 128
     fc_multiple: float = 30.0
-    adc_sps: int = 4
     rrc_rolloff: float = 0.5
     rrc_span: int = 16
-    rrc_sps: int = 4
     lpf_order: int = 4
     mi_bins: int | None = None
     ibo: float = 0.1
@@ -122,9 +115,8 @@ class ExperimentConfig:
             fc_multiple=self.fc_multiple,
             analog_sps=self.analog_sps,
             n_symbols=self.n_symbols,
-            rrc=dsp.RrcSpec(self.rrc_rolloff, self.rrc_span, self.rrc_sps),
+            rrc=dsp.RrcSpec(self.rrc_rolloff, self.rrc_span),
             lpf=dsp.ButterworthSpec(order=self.lpf_order, kind="lowpass", cutoff_high=1.0),
-            adc_sps=self.adc_sps,
             seed=self.seed,
             mi_bins=self.mi_bins)
 
@@ -138,17 +130,16 @@ class ExperimentConfig:
             alpha=self.alpha, sinr_db=self.sinr_db,
             interference_ratio=self.interference_ratio)
 
-    def grid_spec(self, systems=None):
+    def grid_spec(self):
         return optimizer.GridSpec(
             ibo_values=tuple(self.grid_ibo),
             bbpf_values=tuple(self.grid_bbpf),
-            systems=tuple(systems or self.grid_systems))
+            systems=tuple(self.grid_systems))
 
 
-def parse_config_text(text, base=None):
-    """Parse key-value text into an ExperimentConfig, starting from `base`."""
-    cfg = base or ExperimentConfig()
-    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+def parse_config_text(text):
+    """Parse key-value text into an ExperimentConfig; unset keys keep their defaults."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -168,11 +159,11 @@ def parse_config_text(text, base=None):
     return ExperimentConfig(**values)
 
 
-def load_config(path, base=None):
+def load_config(path):
     """Read and parse a configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, base)
+    return parse_config_text(text)

@@ -119,15 +119,10 @@ def design_butterworth(spec, fs):
     return sos
 
 
-def fir_group_delay(taps):
-    """Integer group delay (L-1)//2 of a linear-phase FIR."""
-    return (len(taps) - 1) // 2
-
-
 def fir_filter(x, taps):
     """Full linear convolution of `x` with `taps` (length len(x)+len(taps)-1).
 
-    Callers compensate the linear-phase delay with fir_group_delay.
+    Callers compensate the linear-phase delay of (len(taps)-1)//2 samples.
     """
     taps = np.asarray(taps)
     if taps.size == 0:

@@ -16,6 +16,9 @@ from scipy import signal as sig
 
 from .pa import HARMONIC_BOUND
 
+# Welch segment length in samples: 32 symbols at the default 128 samples per symbol.
+PSD_SEGMENT_LEN = 4096
+
 
 @dataclass(frozen=True)
 class PsdEstimate:
@@ -56,7 +59,7 @@ class LinkMetrics:
             raise ValueError(f"mutual information {self.mi} outside [0, 2]")
 
 
-def mutual_information(tx, rx_aligned, bins_per_dim=8):
+def mutual_information(tx, rx_aligned, bins_per_dim):
     """Plug-in mutual information (bits) between QPSK symbols and aligned receive values.
 
     Empty cells contribute zero to the sum. bins_per_dim=2 reduces to the
@@ -95,17 +98,17 @@ def plugin_mi_bias(bins_per_dim, n):
     return (n_cells - 1) / (2.0 * n * np.log(2.0))
 
 
-def welch_psd(x, fs, segment_len=4096):
-    """Averaged-periodogram PSD (Hann window, half-segment overlap, one-sided density).
+def welch_psd(x, fs):
+    """Averaged-periodogram PSD (Hann window, PSD_SEGMENT_LEN, half overlap, one-sided density).
 
     Normalization is Parseval-consistent: sum(values) * df equals the mean
     power of `x` up to windowing leakage.
     """
     x = np.asarray(x)
-    if segment_len > len(x):
-        raise ValueError(f"segment_len {segment_len} exceeds signal length {len(x)}")
-    freqs, values = sig.welch(x, fs=fs, window="hann", nperseg=segment_len,
-                              noverlap=segment_len // 2, detrend=False,
+    if PSD_SEGMENT_LEN > len(x):
+        raise ValueError(f"PSD segment of {PSD_SEGMENT_LEN} samples exceeds signal length {len(x)}")
+    freqs, values = sig.welch(x, fs=fs, window="hann", nperseg=PSD_SEGMENT_LEN,
+                              noverlap=PSD_SEGMENT_LEN // 2, detrend=False,
                               return_onesided=True, scaling="density")
     total = float(np.sum(values) * (freqs[1] - freqs[0]))
     return PsdEstimate(freqs=freqs, values=values, total_power=total)

@@ -22,13 +22,13 @@ HARMONIC_BOUND = 4.0 / np.pi
 class PaConfig:
     """Operating point of the amplifier stage.
 
-    ibo is the input back-off v_sat/sigma_x (small ibo clips hard), r_load the
-    load resistance in ohms, and bpf the reconstruction filter prototype.
+    bpf is the reconstruction filter prototype (see pipeline.bpf_spec_for), ibo
+    the input back-off v_sat/sigma_x (small ibo clips hard), r_load the load in ohms.
     """
 
+    bpf: ButterworthSpec
     ibo: float = 0.1
     r_load: float = 1.0
-    bpf: ButterworthSpec = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
 
     def __post_init__(self):
         if self.ibo <= 0:

@@ -24,10 +24,10 @@ from .errors import ConfigurationError, StageError
 
 QPSK_ALPHABET = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
-# variant -> (samples per symbol at the DAC input, 1-bit converters, default
-# MI bins per dimension). The pulse-shaped variants hold 4 samples per
-# symbol, the shaper-free variant converts raw symbols directly.
-_VARIANT_TABLE = {"sys1": (4, False, 8), "sys2": (4, True, 2), "sys3": (1, True, 2)}
+# variant -> (RRC pulse shaping at the transmitter, 1-bit converters, default
+# MI bins per dimension). The pulse-shaped variants feed the DAC at the RRC
+# rate, the shaper-free variant converts raw symbols directly.
+_VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (False, True, 2)}
 VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
@@ -37,24 +37,23 @@ MAX_FRAME_SAMPLES = 2 ** 24
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Static description of one link variant; all rates are multiples of the baud rate."""
+    """Static description of one link variant; all rates are multiples of the baud rate.
 
+    rrc.samples_per_symbol is the converter rate (adc_sps, and dac_sps if shaped)."""
+
+    b = 1.0  # baud rate (class constant, not a field): frequencies are in units of B
     variant: str = "sys2"
-    b: float = 1.0
     fc_multiple: float = 30.0
     analog_sps: int = 128
     n_symbols: int = 10_000
     rrc: dsp.RrcSpec = field(default_factory=dsp.RrcSpec)
     lpf: dsp.ButterworthSpec = field(default_factory=dsp.ButterworthSpec)
-    adc_sps: int = 4
     seed: int = 1
     mi_bins: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown system variant {self.variant!r}")
-        if self.b <= 0:
-            raise ConfigurationError(f"baud rate must be positive, got {self.b}")
         if self.n_symbols <= 4 * self.rrc.span:
             raise ConfigurationError(
                 f"n_symbols={self.n_symbols} leaves no samples after edge trimming")
@@ -62,25 +61,32 @@ class SystemConfig:
             raise ConfigurationError(
                 f"n_symbols * analog_sps = {self.n_symbols * self.analog_sps} exceeds the "
                 f"{MAX_FRAME_SAMPLES}-sample frame limit")
-        if self.analog_sps % self.dac_sps or self.analog_sps % self.adc_sps:
+        if self.analog_sps % self.adc_sps:
             raise ConfigurationError(
-                f"analog_sps={self.analog_sps} must be divisible by dac_sps={self.dac_sps} "
-                f"and adc_sps={self.adc_sps}")
-        if self.rrc.samples_per_symbol != self.adc_sps:
-            raise ConfigurationError(
-                "receive pulse shaping runs at the converter rate; rrc.samples_per_symbol "
-                f"({self.rrc.samples_per_symbol}) must equal adc_sps ({self.adc_sps})")
+                f"analog_sps={self.analog_sps} must be divisible by the converter rate "
+                f"rrc.samples_per_symbol={self.adc_sps}")
         nyquist = self.analog_sps * self.b / 2.0
         occupied = self.fc() + self.b * (1.0 + self.rrc.roll_off)
         if occupied >= nyquist:
             raise ConfigurationError(
                 f"carrier {self.fc()} plus signal bandwidth exceeds Nyquist {nyquist}")
-        if self.mi_bins is not None and self.mi_bins < 2:
-            raise ConfigurationError(f"mi_bins must be >= 2, got {self.mi_bins}")
+        # The MI histogram's 4 * mi_bins^2 cells: no more than there are symbols.
+        if self.mi_bins is not None and (self.mi_bins < 2 or 4 * self.mi_bins ** 2 > self.n_symbols):
+            raise ConfigurationError(
+                f"mi_bins must be >= 2 with 4 * mi_bins^2 <= n_symbols={self.n_symbols}, "
+                f"got {self.mi_bins}")
+
+    @property
+    def adc_sps(self):
+        return self.rrc.samples_per_symbol
+
+    @property
+    def shaped(self):
+        return _VARIANT_TABLE[self.variant][0]
 
     @property
     def dac_sps(self):
-        return _VARIANT_TABLE[self.variant][0]
+        return self.adc_sps if self.shaped else 1
 
     @property
     def one_bit(self):
@@ -163,7 +169,6 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     reproduce bit-identical metrics.
     """
     fs = sys_cfg.fs()
-    fc = sys_cfg.fc()
     span = sys_cfg.rrc.span
     seq = np.random.SeedSequence(sys_cfg.seed)
     sym_rng, noise_rng = [np.random.default_rng(s) for s in seq.spawn(2)]
@@ -174,9 +179,9 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.
         taps = dsp.design_rrc(sys_cfg.rrc)
-        delay = dsp.fir_group_delay(taps)
-        if sys_cfg.dac_sps > 1:
-            up = dsp.upsample_zero_insert(tx, sys_cfg.rrc.samples_per_symbol)
+        delay = (len(taps) - 1) // 2  # group delay of the linear-phase FIR
+        if sys_cfg.shaped:
+            up = dsp.upsample_zero_insert(tx, sys_cfg.dac_sps)
             dac_in = dsp.fir_filter(up, taps)[delay:delay + len(up)]
         else:
             dac_in = tx
@@ -190,7 +195,10 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     with _stage("channel"):
         sigma_n2 = channel_mod.calibrate_noise(p_t, ch_cfg)
-        y_rx = channel_mod.add_awgn(y_p, sigma_n2, sys_cfg.b, fs, noise_rng)
+        # sigma_n2 is a power and the receiver sees alpha * p_t; the noise adds
+        # to the voltage y_p, whose mean square is r_load * p_t.
+        y_rx = channel_mod.add_awgn(y_p, sigma_n2 * pa_cfg.r_load / ch_cfg.alpha,
+                                    sys_cfg.b, fs, noise_rng)
 
     rx = _receive(y_rx, lpf_sos, taps, delay, sys_cfg)
 
@@ -201,11 +209,10 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         keep = slice(span, len(tx_used) - span)
 
     with _stage("metrics"):
-        mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep],
-                                            sys_cfg.effective_mi_bins)
+        mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep], sys_cfg.effective_mi_bins)
         rate_r = sys_cfg.b * mi
         psd = metrics_mod.welch_psd(y_p[window], fs)
-        b_pa = metrics_mod.occupied_bandwidth(psd, fc)
+        b_pa = metrics_mod.occupied_bandwidth(psd, sys_cfg.fc())
         n0 = sigma_n2 / sys_cfg.b
         eta_p, eta_b, fom, fom_norm = metrics_mod.efficiencies(
             rate_r, p_pa, b_pa, n0, ch_cfg.alpha)
@@ -214,7 +221,7 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
             eta_p=eta_p, eta_b=eta_b, fom=fom, fom_normalized=fom_norm)
 
 
-def bpf_spec_for(bbpf_over_b, sys_cfg, order=4):
+def bpf_spec_for(bbpf_over_b, sys_cfg, order):
     """Bandpass prototype of width bbpf_over_b * B centered on the carrier."""
     half = bbpf_over_b * sys_cfg.b / 2.0
     return dsp.ButterworthSpec(order=order, kind="bandpass",

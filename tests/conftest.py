@@ -1,8 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from onebitlink import optimizer
+
+# Property tests replay the same examples on every run and keep tier-1 fast.
+settings.register_profile("tier1", derandomize=True, max_examples=200, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -49,7 +49,7 @@ def test_metrics_tuple_accepts_link_metrics():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     sys_cfg = pipeline.SystemConfig(n_symbols=500)
-    m = pipeline.run_link(sys_cfg, PaConfig(bpf=pipeline.bpf_spec_for(0.9, sys_cfg)),
+    m = pipeline.run_link(sys_cfg, PaConfig(bpf=pipeline.bpf_spec_for(0.9, sys_cfg, 4)),
                           ChannelConfig())
     assert spans.metrics_tuple(m) == list(dataclasses.astuple(m))
 

@@ -171,6 +171,31 @@ class TestBadInput:
         assert time.perf_counter() - t0 < 1.0
         assert "frame limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["system.adc_sps", "system.rrc_sps"])
+    def test_removed_converter_rate_keys_exit_1(self, tmp_path, capsys, key):
+        # The converter rate is the RRC's samples per symbol and has no config key.
+        cfg = _write_cfg(tmp_path, FAST_CFG + f"{key} = 4\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sinr_db", ["4000", "-4000"])
+    def test_sinr_without_finite_linear_value_exits_1(self, tmp_path, capsys, sinr_db):
+        cfg = _write_cfg(tmp_path, FAST_CFG + f"channel.sinr_db = {sinr_db}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "sinr_db" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_oversized_mi_bins_exits_1_before_allocating(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "system.mi_bins = 1000000\n")
+        t0 = time.perf_counter()
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "mi_bins" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_range_exits_1_quickly(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "grid.bbpf = 0.4:1e-12:2.0\n")
         t0 = time.perf_counter()

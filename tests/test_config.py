@@ -86,8 +86,9 @@ def test_builders_are_consistent():
     assert np.isclose(pa_cfg.bpf.cutoff_high - pa_cfg.bpf.cutoff_low, 1.1)
     assert np.isclose(0.5 * (pa_cfg.bpf.cutoff_high + pa_cfg.bpf.cutoff_low),
                       sys_cfg.fc())
-    grid = cfg.grid_spec(systems=("sys2",))
-    assert grid.systems == ("sys2",)
+    assert cfg.grid_spec().systems == ("sys1", "sys2", "sys3")
+    cfg.grid_systems = ("sys2",)
+    assert cfg.grid_spec().systems == ("sys2",)
 
 
 def test_builder_width_override():
@@ -98,7 +99,7 @@ def test_builder_width_override():
 
 
 def test_invalid_built_config_surfaces_as_configuration_error():
-    cfg = parse_config_text("system.variant = sys2\nsystem.adc_sps = 3\n")
+    cfg = parse_config_text("system.variant = sys2\nsystem.analog_sps = 127\n")
     with pytest.raises(ConfigurationError):
         cfg.system_config()
 

@@ -4,7 +4,7 @@ import pytest
 from onebitlink import dsp
 from onebitlink.dsp import (AlignmentAmbiguityWarning, ButterworthSpec, RrcSpec,
                             align, design_butterworth, design_rrc, downconvert,
-                            downsample, fir_filter, fir_group_delay, iir_filter,
+                            downsample, fir_filter, iir_filter,
                             paired_at_lag, upconvert, upsample_zero_insert,
                             zoh_hold)
 from onebitlink.errors import ConfigurationError
@@ -105,10 +105,6 @@ class TestFilters:
     def test_fir_filter_empty_taps(self):
         with pytest.raises(ValueError):
             fir_filter(np.ones(4), np.array([]))
-
-    def test_group_delay(self):
-        assert fir_group_delay(np.array([0.5, 0.5])) == 0
-        assert fir_group_delay(design_rrc(RrcSpec())) == 32
 
     def test_iir_matches_sosfilt(self):
         from scipy import signal as sig

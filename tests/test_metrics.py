@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onebitlink.metrics import (LinkMetrics, PsdEstimate, efficiencies,
+from onebitlink.metrics import (PSD_SEGMENT_LEN, LinkMetrics, PsdEstimate, efficiencies,
                                 mutual_information, occupied_bandwidth,
                                 plugin_mi_bias, welch_psd)
 
@@ -46,9 +46,9 @@ class TestMutualInformation:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            mutual_information(QPSK[:0], QPSK[:0])
+            mutual_information(QPSK[:0], QPSK[:0], 8)
         with pytest.raises(ValueError):
-            mutual_information(QPSK, QPSK[:2])
+            mutual_information(QPSK, QPSK[:2], 8)
 
 
 def test_plugin_bias_formula():
@@ -73,7 +73,7 @@ class TestPsd:
 
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError):
-            welch_psd(np.zeros(100), fs=128.0, segment_len=4096)
+            welch_psd(np.zeros(PSD_SEGMENT_LEN - 1), fs=128.0)
 
 
 class TestOccupiedBandwidth:

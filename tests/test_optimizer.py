@@ -15,7 +15,7 @@ def _metrics(fom_norm, mi=1.5):
 
 def _configs(n_symbols=1500):
     sys_cfg = SystemConfig(n_symbols=n_symbols)
-    return sys_cfg, PaConfig(bpf=bpf_spec_for(0.9, sys_cfg)), ChannelConfig()
+    return sys_cfg, PaConfig(bpf=bpf_spec_for(0.9, sys_cfg, 4)), ChannelConfig()
 
 
 class TestGridSpec:

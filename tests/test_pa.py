@@ -98,9 +98,10 @@ def test_clipped_sine_chain_respects_harmonic_bound():
 
 
 def test_pa_config_validation():
+    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
     with pytest.raises(ConfigurationError):
-        PaConfig(ibo=0.0)
+        PaConfig(bpf=bpf, ibo=0.0)
     with pytest.raises(ConfigurationError):
-        PaConfig(r_load=-1.0)
+        PaConfig(bpf=bpf, r_load=-1.0)
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=ButterworthSpec(order=4, kind="lowpass", cutoff_high=1.0))

@@ -14,7 +14,7 @@ from onebitlink.pipeline import (MAX_FRAME_SAMPLES, QPSK_ALPHABET, VARIANTS, Sys
 
 def _configs(variant="sys2", n_symbols=10000, seed=1, bbpf=0.9, ibo=0.1):
     sys_cfg = SystemConfig(variant=variant, n_symbols=n_symbols, seed=seed)
-    pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(bbpf, sys_cfg))
+    pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(bbpf, sys_cfg, 4))
     return sys_cfg, pa_cfg, ChannelConfig()
 
 
@@ -37,10 +37,15 @@ class TestSystemConfig:
         cfg = SystemConfig()
         assert cfg.fc() == 30.0
         assert cfg.fs() == 128.0
-        assert cfg.dac_sps == 4
+        assert cfg.dac_sps == cfg.adc_sps == cfg.rrc.samples_per_symbol == 4
 
     def test_sys3_feeds_symbols_straight_to_dac(self):
         assert SystemConfig(variant="sys3").dac_sps == 1
+
+    def test_converter_rate_follows_the_rrc(self):
+        rrc = RrcSpec(samples_per_symbol=8)
+        assert [SystemConfig(variant=v, rrc=rrc).dac_sps for v in VARIANTS] == [8, 8, 1]
+        assert SystemConfig(rrc=rrc).adc_sps == 8
 
     def test_effective_mi_bins(self):
         # soft receiver: 8 bins per dimension; 1-bit receivers: the 2 signs
@@ -49,12 +54,12 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(variant="sys4"),
-        dict(b=0.0),
         dict(n_symbols=64),
-        dict(analog_sps=127),                      # not divisible by adc_sps
+        dict(analog_sps=127),                      # not divisible by the converter rate
+        dict(rrc=RrcSpec(samples_per_symbol=3)),   # converter rate does not divide 128
         dict(fc_multiple=63.0),                    # carrier too close to Nyquist
-        dict(rrc=RrcSpec(samples_per_symbol=8)),   # shaper rate != adc rate
         dict(mi_bins=1),
+        dict(n_symbols=2000, mi_bins=23),          # 4 * 23^2 = 2116 cells > 2000 symbols
         dict(n_symbols=MAX_FRAME_SAMPLES // 128 + 1),  # frame above the size limit
     ])
     def test_validation(self, kwargs):
@@ -99,9 +104,35 @@ class TestRunLink:
 
     def test_mi_bins_override(self):
         sys_cfg = SystemConfig(variant="sys2", n_symbols=2000, mi_bins=4)
-        pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg))
+        pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
         m = run_link(sys_cfg, pa_cfg, ChannelConfig())
         assert 0.0 <= m.mi <= 2.0
+
+    def test_largest_mi_bins_accepted(self):
+        SystemConfig(n_symbols=2000, mi_bins=22)  # 4 * 22^2 = 1936 cells
+
+    @pytest.mark.parametrize("variant", ["sys1", "sys2"])
+    def test_shaped_variants_run_at_any_converter_rate(self, variant):
+        # The DAC, the ADC and the matched filter all follow the RRC's rate.
+        sys_cfg = SystemConfig(variant=variant, n_symbols=2000,
+                               rrc=RrcSpec(samples_per_symbol=8))
+        m = run_link(sys_cfg, PaConfig(ibo=1.0, bpf=bpf_spec_for(0.9, sys_cfg, 4)),
+                     ChannelConfig())
+        assert m.mi > 1.9
+
+    def test_load_and_path_gain_do_not_move_the_link(self):
+        # The noise is calibrated on the received voltage, so neither the load
+        # resistance nor the path gain changes what the receiver sees; the
+        # powers scale as 1/r_load and the normalized FOM stays put.
+        sys_cfg, pa_cfg, _ = _configs(n_symbols=2000, ibo=1.0)
+        ref = run_link(sys_cfg, pa_cfg, ChannelConfig())
+        for r_load, alpha in ((0.25, 1.0), (4.0, 1.0), (1.0, 0.5), (1.0, 2.0), (4.0, 0.5)):
+            m = run_link(sys_cfg, dataclasses.replace(pa_cfg, r_load=r_load),
+                         ChannelConfig(alpha=alpha))
+            for name in ("mi", "b_pa", "fom_normalized"):
+                assert np.isclose(getattr(m, name), getattr(ref, name), rtol=1e-6, atol=0), name
+            assert np.isclose(m.p_pa * r_load, ref.p_pa, rtol=1e-12)
+            assert np.isclose(m.p_t * r_load, ref.p_t, rtol=1e-12)
 
     def test_peak_memory_stays_near_three_frames(self):
         # Each frame-length buffer is freed after its last stage, so about three
@@ -131,7 +162,7 @@ class TestRunLink:
 
 
 def test_bpf_spec_for_centers_on_carrier():
-    spec = bpf_spec_for(0.9, SystemConfig())
+    spec = bpf_spec_for(0.9, SystemConfig(), 4)
     assert spec.kind == "bandpass"
     assert np.isclose(spec.cutoff_low, 30.0 - 0.45)
     assert np.isclose(spec.cutoff_high, 30.0 + 0.45)

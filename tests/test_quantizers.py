@@ -25,7 +25,3 @@ def test_zero_maps_to_positive_rail():
     y = one_bit_quantize(np.array([0.0 + 0.0j]))
     np.testing.assert_allclose(y, [RAIL_LEVEL * (1 + 1j)])
 
-
-def test_custom_level():
-    y = one_bit_quantize(np.array([1 - 1j]), a=2.0)
-    np.testing.assert_allclose(y, [2 - 2j])
