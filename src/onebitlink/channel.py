@@ -7,6 +7,7 @@ Only the thermal term is injected into the waveform; the interferers exist in
 the budget, not in the simulation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,15 @@ class ChannelConfig:
         if self.interference_ratio < 0:
             raise ConfigurationError(
                 f"interference_ratio must be nonnegative, got {self.interference_ratio}")
+        # calibrate_noise scales p_t by this factor; it must stay a usable number.
         try:
-            sinr = 10.0 ** (self.sinr_db / 10.0)  # raises instead of returning inf
-        except OverflowError:
-            sinr = 0.0
-        if sinr == 0.0:
+            factor = self.alpha / ((1.0 + self.interference_ratio) * 10.0 ** (self.sinr_db / 10.0))
+        except (OverflowError, ZeroDivisionError):  # 10**x overflowed, or underflowed to 0
+            factor = math.inf
+        if not 0.0 < factor < math.inf:
             raise ConfigurationError(
-                f"sinr_db={self.sinr_db} has no positive finite linear value")
+                f"alpha={self.alpha}, interference_ratio={self.interference_ratio} and "
+                f"sinr_db={self.sinr_db} give no positive finite noise calibration factor")
 
 
 def calibrate_noise(p_t, cfg):

@@ -12,12 +12,17 @@ quote it next to the estimate.
 from dataclasses import astuple, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as sig
 
 from .pa import HARMONIC_BOUND
 
 # Welch segment length in samples: 32 symbols at the default 128 samples per symbol.
 PSD_SEGMENT_LEN = 4096
+# Segments windowed and transformed per batched rfft: bounds the temporaries
+# to a few MB whatever the signal length.
+_PSD_BLOCK_SEGMENTS = 64
 
 
 @dataclass(frozen=True)
@@ -102,14 +107,24 @@ def welch_psd(x, fs):
     """Averaged-periodogram PSD (Hann window, PSD_SEGMENT_LEN, half overlap, one-sided density).
 
     Normalization is Parseval-consistent: sum(values) * df equals the mean
-    power of `x` up to windowing leakage.
+    power of `x` up to windowing leakage. The estimate is that of
+    scipy.signal.welch with detrend=False, to rounding.
     """
     x = np.asarray(x)
     if PSD_SEGMENT_LEN > len(x):
         raise ValueError(f"PSD segment of {PSD_SEGMENT_LEN} samples exceeds signal length {len(x)}")
-    freqs, values = sig.welch(x, fs=fs, window="hann", nperseg=PSD_SEGMENT_LEN,
-                              noverlap=PSD_SEGMENT_LEN // 2, detrend=False,
-                              return_onesided=True, scaling="density")
+    # scipy.signal.welch's segments as a read-only strided view: the frame is never copied.
+    hop = PSD_SEGMENT_LEN // 2
+    n_seg = (len(x) - hop) // hop
+    segments = sliding_window_view(x, PSD_SEGMENT_LEN)[::hop][:n_seg]
+    window = sig.get_window("hann", PSD_SEGMENT_LEN)
+    values = np.zeros(PSD_SEGMENT_LEN // 2 + 1)
+    for start in range(0, n_seg, _PSD_BLOCK_SEGMENTS):
+        spec = sp_fft.rfft(segments[start:start + _PSD_BLOCK_SEGMENTS] * window, axis=-1)
+        values += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
+    values /= fs * np.sum(window ** 2) * n_seg
+    values[1:-1] *= 2.0  # one-sided; the even segment length puts Nyquist in the last bin
+    freqs = np.fft.rfftfreq(PSD_SEGMENT_LEN, 1.0 / fs)
     total = float(np.sum(values) * (freqs[1] - freqs[0]))
     return PsdEstimate(freqs=freqs, values=values, total_power=total)
 

@@ -54,6 +54,8 @@ class SystemConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown system variant {self.variant!r}")
+        if self.seed < 0:  # np.random.SeedSequence takes only nonnegative integers
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.n_symbols <= 4 * self.rrc.span:
             raise ConfigurationError(
                 f"n_symbols={self.n_symbols} leaves no samples after edge trimming")

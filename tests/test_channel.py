@@ -27,6 +27,12 @@ def test_config_validation():
         ChannelConfig(alpha=0.0)
     with pytest.raises(ConfigurationError):
         ChannelConfig(interference_ratio=-0.5)
+    # Settings whose noise calibration factor alpha / ((1 + ratio) 10^(sinr_db/10))
+    # overflows to inf or to 0.
+    for kwargs in (dict(sinr_db=-3200.0), dict(alpha=1e308, sinr_db=-10.0),
+                   dict(interference_ratio=1e308)):
+        with pytest.raises(ConfigurationError, match="calibration factor"):
+            ChannelConfig(**kwargs)
 
 
 def test_zero_noise_is_identity():

@@ -180,11 +180,21 @@ class TestBadInput:
         assert "unknown key" in err and key in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("sinr_db", ["4000", "-4000"])
+    # -3200: 10^-320 is positive and finite, but the noise calibration
+    # factor alpha / (3 * 10^-320) overflows.
+    @pytest.mark.parametrize("sinr_db", ["4000", "-4000", "-3200"])
     def test_sinr_without_finite_linear_value_exits_1(self, tmp_path, capsys, sinr_db):
         cfg = _write_cfg(tmp_path, FAST_CFG + f"channel.sinr_db = {sinr_db}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "sinr_db" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "key"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, how):
+        cfg = _write_cfg(tmp_path, FAST_CFG + ("seed = -1\n" if how == "key" else ""))
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert cli.main(argv + (["--seed", "-1"] if how == "flag" else [])) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_oversized_mi_bins_exits_1_before_allocating(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from onebitlink.metrics import (PSD_SEGMENT_LEN, LinkMetrics, PsdEstimate, efficiencies,
                                 mutual_information, occupied_bandwidth,
@@ -74,6 +77,36 @@ class TestPsd:
     def test_short_signal_rejected(self):
         with pytest.raises(ValueError):
             welch_psd(np.zeros(PSD_SEGMENT_LEN - 1), fs=128.0)
+
+    # Paper frame's metrics window: (10 000 - 2 * 16 trimmed symbols) * 128 samples.
+    PAPER_WINDOW = 1_275_904
+
+    @pytest.mark.parametrize("n", [PSD_SEGMENT_LEN, PSD_SEGMENT_LEN + 1,
+                                   3 * PSD_SEGMENT_LEN // 2 - 1, 3 * PSD_SEGMENT_LEN // 2,
+                                   10_000, PAPER_WINDOW])
+    def test_matches_scipy_welch(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + np.cos(2 * np.pi * 30.0 * np.arange(n) / 128.0)
+        freqs, values = sig.welch(x, 128.0, "hann", nperseg=PSD_SEGMENT_LEN,
+                                  noverlap=PSD_SEGMENT_LEN // 2, detrend=False,
+                                  scaling="density")
+        psd = welch_psd(x, fs=128.0)
+        np.testing.assert_array_equal(psd.freqs, freqs)
+        np.testing.assert_allclose(psd.values, values, rtol=1e-12, atol=0.0)
+        assert np.isclose(psd.total_power, np.sum(values) * (freqs[1] - freqs[0]),
+                          rtol=1e-12, atol=0.0)
+
+    def test_paper_frame_peak_memory(self):
+        # The segments are a strided view, transformed a block at a time: no
+        # copy of the frame and no all-segment spectrogram.
+        x = np.random.default_rng(8).standard_normal(self.PAPER_WINDOW)
+        tracemalloc.start()
+        try:
+            welch_psd(x, fs=128.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestOccupiedBandwidth:

@@ -61,6 +61,7 @@ class TestSystemConfig:
         dict(mi_bins=1),
         dict(n_symbols=2000, mi_bins=23),          # 4 * 23^2 = 2116 cells > 2000 symbols
         dict(n_symbols=MAX_FRAME_SAMPLES // 128 + 1),  # frame above the size limit
+        dict(seed=-1),                             # SeedSequence takes no negative seed
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
