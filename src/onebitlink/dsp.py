@@ -41,13 +41,19 @@ class RrcSpec:
             raise ConfigurationError(f"rrc samples_per_symbol must be >= 1, got {self.samples_per_symbol}")
 
 
+# Largest Butterworth prototype order: the block-rate lowpass kernels are
+# checked against sosfilt up to it, and their FIR grows as order x hold.
+MAX_BUTTERWORTH_ORDER = 16
+
+
 @dataclass(frozen=True)
 class ButterworthSpec:
     """Butterworth filter prototype.
 
-    order is the analog prototype order N (scipy convention): a lowpass design
-    has N poles, a bandpass design 2N poles. cutoff_low/cutoff_high are the
-    3-dB edges in Hz; lowpass designs use cutoff_high only.
+    order is the analog prototype order N (scipy convention), at most
+    MAX_BUTTERWORTH_ORDER: a lowpass design has N poles, a bandpass design 2N
+    poles. cutoff_low/cutoff_high are the 3-dB edges in Hz; lowpass designs
+    use cutoff_high only.
     """
 
     order: int = 4
@@ -56,8 +62,9 @@ class ButterworthSpec:
     cutoff_high: float = 1.0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ConfigurationError(f"butterworth order must be >= 1, got {self.order}")
+        if not 1 <= self.order <= MAX_BUTTERWORTH_ORDER:
+            raise ConfigurationError(
+                f"butterworth order must lie in [1, {MAX_BUTTERWORTH_ORDER}], got {self.order}")
         if self.kind not in ("lowpass", "bandpass"):
             raise ConfigurationError(f"butterworth kind must be lowpass or bandpass, got {self.kind!r}")
         if self.cutoff_high <= 0:
@@ -152,11 +159,107 @@ def zoh_hold(x, M):
     return np.repeat(np.asarray(x), M)
 
 
-def downsample(x, M, phase=0):
-    """Keep samples at indices phase, phase+M, phase+2M, ..."""
-    if not 0 <= phase < M:
-        raise ValueError(f"phase must lie in [0, {M}), got {phase}")
-    return np.asarray(x)[phase::M]
+# Multiply-adds per matrix-product block: OpenBLAS runs a product this small on
+# the calling thread, so the --jobs worker processes stay the only parallelism.
+_BLAS_BLOCK = 2 ** 16
+
+
+def _matmul(a, b):
+    """a @ b for real b, in blocks of at most _BLAS_BLOCK multiply-adds.
+
+    A complex a is multiplied as interleaved (re, im) columns against b with
+    each entry doubled into a 2x2 identity, so b never becomes complex.
+    """
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+        return _matmul(a, np.kron(b, np.eye(2))).view(np.complex128)
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n))
+    kt = min(k, _BLAS_BLOCK)
+    nt = min(n, max(1, _BLAS_BLOCK // kt))
+    mt = max(1, _BLAS_BLOCK // (kt * nt))
+    for p in range(0, k, kt):
+        for j in range(0, n, nt):
+            for i in range(0, m, mt):
+                part = a[i:i + mt, p:p + kt] @ b[p:p + kt, j:j + nt]
+                if p:
+                    out[i:i + mt, j:j + nt] += part
+                else:
+                    out[i:i + mt, j:j + nt] = part
+    return out
+
+
+def _look_ahead(sos, M):
+    """Split H(z) = B(z)/A(z) into F(z) / D(z^M) (scattered look-ahead).
+
+    D raises every pole p of `sos` to p^M and is returned as sections that
+    run at the block rate fs/M. F(z) = H(z) D(z^M) is an FIR of (L-1)M + 1
+    taps, L = 2 * len(sos) + 1, returned zero-padded to L*M taps. F is
+    computed in long double: the block-rate recursion can run 40x above its
+    output (order 16 at 256 samples per symbol), which magnifies F's rounding.
+    """
+    sos_x = sos.astype(np.longdouble)
+    a1, a2 = sos_x[:, 4], sos_x[:, 5]
+    root = np.sqrt(a1 * a1 - 4 * a2 + 0j)
+    d = np.zeros_like(sos)
+    d[:, 0] = d[:, 3] = 1.0
+    d[:, 4] = -(((-a1 + root) / 2) ** M + ((-a1 - root) / 2) ** M).real
+    d[:, 5] = a2 ** M
+    # One section at a time (the product polynomial D(w) is ill-conditioned):
+    # multiply by d_s(z^M), then divide by a_s(z), which d_s(z^M) contains.
+    f = np.zeros((2 * len(sos) + 1) * M, dtype=np.longdouble)
+    f[0] = 1
+    for section, (d1, d2) in zip(sos_x, d[:, 4:]):
+        prev = f.copy()
+        f[M:] += d1 * prev[:-M]
+        f[2 * M:] += d2 * prev[:-2 * M]
+        f = sig.lfilter(section[:3], section[3:], f)
+    f[len(f) - M + 1:] = 0  # past the FIR's end only rounding is left
+    return f, d
+
+
+def held_iir_filter(u, hold, sos):
+    """iir_filter(zoh_hold(u, hold), sos) without the held frame.
+
+    With H = F(z) / D(z^hold), the D sections run on u itself; the held,
+    filtered output is then G(z) = F(z) (1 + z^-1 + ... + z^-(hold-1))
+    applied polyphase: output block n is sum over lags l of v[n-l] G[l, :].
+    """
+    if hold < 1:
+        raise ValueError(f"hold factor must be >= 1, got {hold}")
+    f, d = _look_ahead(sos, hold)
+    g = np.cumsum(f)
+    g[hold:] -= g[:-hold].copy()
+    g = g.astype(np.float64).reshape(-1, hold)
+    v = sig.sosfilt(d, np.asarray(u))
+    lags = np.zeros((len(v), len(g)), dtype=v.dtype)
+    for lag in range(len(g)):
+        lags[lag:, lag] = v[:len(v) - lag]
+    return _matmul(lags, g).reshape(-1)
+
+
+def decimated_iir_filter(x, sos, step):
+    """iir_filter(x, sos)[::step] without the full-rate output.
+
+    With H = F(z) / D(z^step), the kept outputs need F only at multiples of
+    step: one product of the (K x step) reshaped frame with a (step x L) tap
+    matrix, L-1 shifted adds, then the D sections on K samples.
+    """
+    if step < 1:
+        raise ValueError(f"decimation step must be >= 1, got {step}")
+    x = np.asarray(x)
+    f, d = _look_ahead(sos, step)
+    n_out = -(-len(x) // step)
+    if len(x) % step:
+        x = np.concatenate([x, np.zeros(n_out * step - len(x), dtype=x.dtype)])
+    # taps[c, l] = f[l*step - c]: sample c of block n-l feeds output n.
+    padded = np.concatenate([np.zeros(step - 1), f[:len(f) - step + 1]]).astype(np.float64)
+    taps = np.ascontiguousarray(padded.reshape(-1, step)[:, ::-1].T)
+    parts = _matmul(x.reshape(n_out, step), taps)
+    w = parts[:, 0].copy()
+    for lag in range(1, parts.shape[1]):
+        w[lag:] += parts[:n_out - lag, lag]
+    return sig.sosfilt(d, w)
 
 
 @functools.lru_cache(maxsize=1)

@@ -132,9 +132,8 @@ def _transmit(dac_in, sys_cfg, pa_cfg, window):
     with _stage("dac"):
         if sys_cfg.one_bit:
             dac_in = quantizers.one_bit_quantize(dac_in)
-        wave = dsp.zoh_hold(dac_in, sys_cfg.analog_sps // sys_cfg.dac_sps)
         lpf_sos = dsp.design_butterworth(sys_cfg.lpf, fs)
-        wave = dsp.iir_filter(wave, lpf_sos)
+        wave = dsp.held_iir_filter(dac_in, sys_cfg.analog_sps // sys_cfg.dac_sps, lpf_sos)
 
     with _stage("pa"):
         wave = dsp.upconvert(wave, sys_cfg.fc(), fs)
@@ -156,8 +155,7 @@ def _receive(y_rx, lpf_sos, taps, delay, sys_cfg):
     """
     with _stage("rx"):
         bb = dsp.downconvert(y_rx, sys_cfg.fc(), sys_cfg.fs())
-        bb = dsp.iir_filter(bb, lpf_sos)
-        rx = dsp.downsample(bb, sys_cfg.analog_sps // sys_cfg.adc_sps)
+        rx = dsp.decimated_iir_filter(bb, lpf_sos, sys_cfg.analog_sps // sys_cfg.adc_sps)
         if sys_cfg.one_bit:
             rx = quantizers.one_bit_quantize(rx)
         return dsp.fir_filter(rx, taps)[delay:delay + len(rx)]

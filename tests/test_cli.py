@@ -197,6 +197,16 @@ class TestBadInput:
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # Without the bound, an order of 100000 spends minutes in the filter design.
+    @pytest.mark.parametrize("key", ["system.lpf_order", "pa.bpf_order"])
+    def test_filter_order_above_bound_exits_1(self, tmp_path, capsys, key):
+        cfg = _write_cfg(tmp_path, FAST_CFG + f"{key} = 100000\n")
+        t0 = time.perf_counter()
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - t0 < 5.0
+        assert "butterworth order must lie in [1, 16], got 100000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_mi_bins_exits_1_before_allocating(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "system.mi_bins = 1000000\n")
         t0 = time.perf_counter()

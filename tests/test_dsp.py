@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from onebitlink import dsp
 from onebitlink.dsp import (AlignmentAmbiguityWarning, ButterworthSpec, RrcSpec,
-                            align, design_butterworth, design_rrc, downconvert,
-                            downsample, fir_filter, iir_filter,
-                            paired_at_lag, upconvert, upsample_zero_insert,
-                            zoh_hold)
+                            align, decimated_iir_filter, design_butterworth,
+                            design_rrc, downconvert, fir_filter, held_iir_filter,
+                            iir_filter, paired_at_lag, upconvert,
+                            upsample_zero_insert, zoh_hold)
 from onebitlink.errors import ConfigurationError
 
 
 def _freqz_sos(sos, f, fs):
-    from scipy import signal as sig
     _, h = sig.sosfreqz(sos, worN=[2 * np.pi * f / fs])
     return np.abs(h[0])
 
@@ -89,6 +89,8 @@ class TestButterworth:
         with pytest.raises(ConfigurationError):
             ButterworthSpec(order=0)
         with pytest.raises(ConfigurationError):
+            ButterworthSpec(order=dsp.MAX_BUTTERWORTH_ORDER + 1)
+        with pytest.raises(ConfigurationError):
             ButterworthSpec(kind="highpass")
         with pytest.raises(ConfigurationError):
             ButterworthSpec(kind="bandpass", cutoff_low=2.0, cutoff_high=1.0)
@@ -107,7 +109,6 @@ class TestFilters:
             fir_filter(np.ones(4), np.array([]))
 
     def test_iir_matches_sosfilt(self):
-        from scipy import signal as sig
         sos = design_butterworth(ButterworthSpec(), fs=128.0)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(256)
@@ -123,13 +124,62 @@ class TestRateChanges:
         np.testing.assert_allclose(zoh_hold(np.array([1.0, 2.0]), 3),
                                    [1, 1, 1, 2, 2, 2])
 
-    def test_downsample_inverts_zoh(self):
-        x = np.arange(6.0)
-        np.testing.assert_allclose(downsample(zoh_hold(x, 8), 8), x)
 
-    def test_downsample_phase(self):
-        x = np.arange(8.0)
-        np.testing.assert_allclose(downsample(x, 4, phase=1), [1.0, 5.0])
+class TestBlockRateLowpass:
+    """The look-ahead kernels reproduce sosfilt to within 1e-10 of the output RMS."""
+
+    @staticmethod
+    def _signal(n, complex_input, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        return x + 1j * rng.standard_normal(n) if complex_input else x
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.sqrt(np.mean(np.abs(ref) ** 2))
+
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("hold", [1, 4, 32, 128])
+    @pytest.mark.parametrize("order", [1, 4, 5, 16])
+    def test_held_matches_sosfilt_of_the_held_frame(self, order, hold, complex_input):
+        sos = design_butterworth(ButterworthSpec(order=order), fs=128.0)
+        u = self._signal(257, complex_input, seed=order * hold)
+        self._assert_close(held_iir_filter(u, hold, sos),
+                           sig.sosfilt(sos, zoh_hold(u, hold)))
+
+    @pytest.mark.parametrize("extra", [0, 1, -1], ids=["whole", "plus1", "minus1"])
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("step", [1, 4, 32, 128])
+    @pytest.mark.parametrize("order", [1, 4, 5, 16])
+    def test_decimated_matches_sosfilt_then_every_step(self, order, step, complex_input, extra):
+        sos = design_butterworth(ButterworthSpec(order=order), fs=128.0)
+        x = self._signal(200 * step + extra, complex_input, seed=order * step)
+        self._assert_close(decimated_iir_filter(x, sos, step), sig.sosfilt(sos, x)[::step])
+
+    def test_other_analog_rate(self):
+        # 256 samples per symbol: the transmit hold and receive step are 64.
+        sos = design_butterworth(ButterworthSpec(order=4), fs=256.0)
+        u = self._signal(500, True, seed=3)
+        self._assert_close(held_iir_filter(u, 64, sos), sig.sosfilt(sos, zoh_hold(u, 64)))
+        x = self._signal(500 * 64, True, seed=4)
+        self._assert_close(decimated_iir_filter(x, sos, 64), sig.sosfilt(sos, x)[::64])
+
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    def test_blocked_product_tiles_every_dimension(self, monkeypatch, complex_input):
+        # A budget of 7 multiply-adds splits rows, columns and the inner sum.
+        monkeypatch.setattr(dsp, "_BLAS_BLOCK", 7)
+        a = self._signal(5 * 13, complex_input, seed=1).reshape(5, 13)
+        b = self._signal(13 * 4, False, seed=2).reshape(13, 4)
+        np.testing.assert_allclose(dsp._matmul(a, b), a @ b, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_rate_factor_below_one_rejected(self, factor):
+        sos = design_butterworth(ButterworthSpec(), fs=128.0)
+        with pytest.raises(ValueError):
+            held_iir_filter(np.ones(4), factor, sos)
+        with pytest.raises(ValueError):
+            decimated_iir_filter(np.ones(4), sos, factor)
 
 
 class TestMixers:

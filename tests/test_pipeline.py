@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -173,3 +176,38 @@ def test_configs_are_frozen():
     cfg = SystemConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 2
+
+
+# Times one run_link per variant after a warm-up, in a fresh interpreter, and
+# prints the process's CPU seconds per wall second over the timed calls.
+_CPU_PER_WALL = """
+import resource, time
+from onebitlink.channel import ChannelConfig
+from onebitlink.pa import PaConfig
+from onebitlink.pipeline import VARIANTS, SystemConfig, bpf_spec_for, run_link
+def cpu():
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_utime + r.ru_stime
+points = []
+for variant in VARIANTS:
+    sys_cfg = SystemConfig(variant=variant, n_symbols=2000, analog_sps=128)
+    points.append((sys_cfg, PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4)), ChannelConfig()))
+for point in points:
+    run_link(*point)
+c0, w0 = cpu(), time.perf_counter()
+for point in points:
+    run_link(*point)
+print((cpu() - c0) / (time.perf_counter() - w0))
+"""
+
+
+def test_run_link_keeps_blas_on_the_calling_thread():
+    # Without *_NUM_THREADS, OpenBLAS starts a thread per core for a large
+    # enough product, and those threads would compete with the --jobs workers.
+    # One thread cannot use more CPU than wall time, so this has no false alarm.
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _CPU_PER_WALL], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert float(out.stdout) <= 1.2
