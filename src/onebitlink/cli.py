@@ -45,16 +45,10 @@ def _load_experiment(args):
     if args.system:
         cfg.variant = args.system
         cfg.grid_systems = (args.system,)
-    for flag, attr in (("ibo", "ibo"), ("bbpf", "bbpf_over_b")):
-        text = getattr(args, flag, None)
-        if text is not None:
-            try:
-                setattr(cfg, attr, config_mod.finite_float(text))
-            except ValueError as exc:
-                raise ConfigurationError(f"bad value for --{flag}: {exc}") from exc
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None):
+    for flag, attr in (("ibo", "ibo"), ("bbpf", "bbpf_over_b"), ("seed", "seed")):
+        if getattr(args, flag, None) is not None:
+            setattr(cfg, attr, getattr(args, flag))
+    if args.out:
         cfg.out_dir = args.out
     return cfg
 
@@ -142,7 +136,7 @@ def cmd_sweep(args):
 
 
 def cmd_amam(args):
-    out_dir = args.out or "results"
+    out_dir = args.out or config_mod.ExperimentConfig.out_dir
     amplitudes = np.logspace(np.log10(0.01), np.log10(10.0), 200)
     curve = pa.am_am_curve(1.0, amplitudes)
     os.makedirs(out_dir, exist_ok=True)
@@ -154,43 +148,48 @@ def cmd_amam(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigurationError, so a bad flag exits 1 like a bad key."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="onebitlink",
         description="Link simulator and FOM optimizer for QPSK with 1-bit converters "
                     "and a clipping amplifier")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("--out",
+                     help=f"output directory (default {config_mod.ExperimentConfig.out_dir})")
+    link = _Parser(add_help=False, parents=[out])
+    link.add_argument("--config", help="key-value configuration file")
+    link.add_argument("--system", choices=pipeline.VARIANTS,
+                      help="system variant (sweep: the only variant swept)")
+    link.add_argument("--seed", type=int)
 
-    p_run = sub.add_parser("run", help="evaluate a single operating point")
-    p_run.add_argument("--config", help="key-value configuration file")
-    p_run.add_argument("--system", choices=pipeline.VARIANTS)
-    p_run.add_argument("--ibo", help="input back-off v_sat/sigma")
-    p_run.add_argument("--bbpf", help="bandpass width in units of B")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--out", help="output directory (default results)")
+    p_run = sub.add_parser("run", parents=[link], help="evaluate a single operating point")
+    p_run.add_argument("--ibo", type=config_mod.finite_float, help="input back-off v_sat/sigma")
+    p_run.add_argument("--bbpf", type=config_mod.finite_float, help="bandpass width in units of B")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="evaluate the configured (ibo, b_bpf) grid")
-    p_sweep.add_argument("--config", help="key-value configuration file")
-    p_sweep.add_argument("--system", choices=pipeline.VARIANTS,
-                         help="restrict the sweep to one system variant")
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep = sub.add_parser("sweep", parents=[link],
+                             help="evaluate the configured (ibo, b_bpf) grid")
     p_sweep.add_argument("--jobs", type=int,
                          help="worker processes, at most one per point and core "
                               "(default: all cores)")
-    p_sweep.add_argument("--out", help="output directory (default results)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_amam = sub.add_parser("amam", help="export the amplifier transfer curve")
-    p_amam.add_argument("--out", help="output directory (default results)")
+    p_amam = sub.add_parser("amam", parents=[out], help="export the amplifier transfer curve")
     p_amam.set_defaults(func=cmd_amam)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -3,8 +3,8 @@
 Grammar: one `key = value` pair per line; blank lines and lines starting
 with '#' are ignored. Keys are namespaced with section prefixes
 (system.*, pa.*, channel.*, grid.*); `seed` and `out` are experiment-level.
-Unknown keys are rejected. Missing keys take the defaults below, which
-reproduce the headline operating point (sys2, ibo 0.1, b_bpf 0.9B, 10 dB
+Unknown keys are rejected. Missing keys take ExperimentConfig's defaults,
+which reproduce the headline operating point (sys2, ibo 0.1, b_bpf 0.9B, 10 dB
 SINR, 10^4 symbols at 128 samples per symbol).
 
 List values are comma-separated (`grid.ibo = 0.0316,0.1,1,10`); the range
@@ -86,28 +86,28 @@ _SCHEMA = {
 
 @dataclass
 class ExperimentConfig:
-    """Declarative mirror of the system, amplifier, channel, and grid settings."""
+    """Flat mirror of the link and grid settings; each default comes from the setting's owner."""
 
-    seed: int = 1
+    seed: int = pipeline.SystemConfig.seed
     out_dir: str = "results"
-    variant: str = "sys2"
-    n_symbols: int = 10_000
-    analog_sps: int = 128
-    fc_multiple: float = 30.0
-    rrc_rolloff: float = 0.5
-    rrc_span: int = 16
-    lpf_order: int = 4
-    mi_bins: int | None = None
-    ibo: float = 0.1
-    r_load: float = 1.0
+    variant: str = pipeline.SystemConfig.variant
+    n_symbols: int = pipeline.SystemConfig.n_symbols
+    analog_sps: int = pipeline.SystemConfig.analog_sps
+    fc_multiple: float = pipeline.SystemConfig.fc_multiple
+    rrc_rolloff: float = dsp.RrcSpec.roll_off
+    rrc_span: int = dsp.RrcSpec.span
+    lpf_order: int = dsp.ButterworthSpec.order
+    mi_bins: int | None = pipeline.SystemConfig.mi_bins
+    ibo: float = pa_mod.PaConfig.ibo
+    r_load: float = pa_mod.PaConfig.r_load
     bbpf_over_b: float = 0.9
-    bpf_order: int = 4
-    alpha: float = 1.0
-    sinr_db: float = 10.0
-    interference_ratio: float = 2.0
+    bpf_order: int = dsp.ButterworthSpec.order
+    alpha: float = channel_mod.ChannelConfig.alpha
+    sinr_db: float = channel_mod.ChannelConfig.sinr_db
+    interference_ratio: float = channel_mod.ChannelConfig.interference_ratio
     grid_ibo: tuple = (0.0316, 0.1, 1.0, 10.0)
     grid_bbpf: tuple = tuple(round(0.4 + 0.1 * k, 10) for k in range(17))
-    grid_systems: tuple = ("sys1", "sys2", "sys3")
+    grid_systems: tuple = pipeline.VARIANTS
 
     def system_config(self):
         return pipeline.SystemConfig(
@@ -116,7 +116,7 @@ class ExperimentConfig:
             analog_sps=self.analog_sps,
             n_symbols=self.n_symbols,
             rrc=dsp.RrcSpec(self.rrc_rolloff, self.rrc_span),
-            lpf=dsp.ButterworthSpec(order=self.lpf_order, kind="lowpass", cutoff_high=1.0),
+            lpf=dsp.ButterworthSpec(order=self.lpf_order),
             seed=self.seed,
             mi_bins=self.mi_bins)
 

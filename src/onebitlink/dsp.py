@@ -334,15 +334,15 @@ def align(tx, rx_soft, stride=1, max_lag=None):
         if len(t) == 0:
             continue
         metric[k] = np.abs(np.vdot(t, r)) / len(t)
-    if metric.max() <= 0.0:
-        raise ValueError("no overlap between tx and rx_soft within the lag window")
     peak = metric.max()
-    qualifying = lags[metric >= 0.99 * peak]
+    if peak <= 0.0:
+        raise ValueError("no overlap between tx and rx_soft within the lag window")
+    qualifying = lags[metric >= 0.99 * peak]  # always holds the argmax
     if len(qualifying) > 1:
         warnings.warn(
             f"correlation peak is ambiguous across lags {qualifying.tolist()}; "
             f"using the smallest", AlignmentAmbiguityWarning)
-    lag = int(qualifying.min()) if len(qualifying) > 1 else int(lags[np.argmax(metric)])
+    lag = int(qualifying.min())
     t, r = paired_at_lag(tx, rx_soft, lag, stride)
     c = np.vdot(r, t) / np.vdot(r, r)
     return lag, c

@@ -17,7 +17,7 @@ class GridSpec:
 
     ibo_values: tuple
     bbpf_values: tuple
-    systems: tuple = ("sys2",)
+    systems: tuple = (pipeline.SystemConfig.variant,)
 
     def __post_init__(self):
         for name, values in (("ibo", self.ibo_values), ("b_bpf", self.bbpf_values)):

@@ -63,6 +63,11 @@ class SystemConfig:
             raise ConfigurationError(
                 f"n_symbols * analog_sps = {self.n_symbols * self.analog_sps} exceeds the "
                 f"{MAX_FRAME_SAMPLES}-sample frame limit")
+        window = (self.n_symbols - 2 * self.rrc.span) * self.analog_sps  # see run_link
+        if window < metrics_mod.PSD_SEGMENT_LEN:
+            raise ConfigurationError(
+                f"measurement window (n_symbols - 2 * rrc_span) * analog_sps = {window} is "
+                f"shorter than the {metrics_mod.PSD_SEGMENT_LEN}-sample PSD segment")
         if self.analog_sps % self.adc_sps:
             raise ConfigurationError(
                 f"analog_sps={self.analog_sps} must be divisible by the converter rate "

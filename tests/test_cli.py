@@ -148,7 +148,26 @@ class TestBadInput:
     def test_run_non_finite_flag_exits_1(self, tmp_path, capsys, flag):
         rc = cli.main(["run", flag, "nan", "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag in err
+
+    # A malformed flag is a configuration error like a malformed key, not an
+    # argparse usage exit (2, which the CLI reserves for runtime failures).
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "abc"], ["run", "--system", "sys9"],
+        ["sweep", "--jobs", "abc"], ["run", "--no-such-flag"],
+    ], ids=["seed", "system", "jobs", "unknown"])
+    def test_malformed_flag_exits_1(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and argv[1] in err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
     def test_non_finite_config_value_exits_1(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "channel.sinr_db = nan\n")
@@ -205,6 +224,17 @@ class TestBadInput:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert time.perf_counter() - t0 < 5.0
         assert "butterworth order must lie in [1, 16], got 100000" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # The window (40 - 2 * 8) * 128 = 3072 samples cannot hold one PSD segment.
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_window_shorter_than_psd_segment_exits_1(self, tmp_path, capsys, command):
+        cfg = _write_cfg(tmp_path, "system.n_symbols = 40\nsystem.rrc_span = 8\n")
+        t0 = time.perf_counter()
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "PSD segment" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_oversized_mi_bins_exits_1_before_allocating(self, tmp_path, capsys):

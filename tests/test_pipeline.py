@@ -65,6 +65,9 @@ class TestSystemConfig:
         dict(n_symbols=2000, mi_bins=23),          # 4 * 23^2 = 2116 cells > 2000 symbols
         dict(n_symbols=MAX_FRAME_SAMPLES // 128 + 1),  # frame above the size limit
         dict(seed=-1),                             # SeedSequence takes no negative seed
+        # measurement window shorter than the 4096-sample PSD segment
+        dict(n_symbols=40, rrc=RrcSpec(span=8)),   # (40 - 16) * 128 = 3072
+        dict(n_symbols=65, analog_sps=64),         # (65 - 32) * 64 = 2112
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -127,7 +130,8 @@ class TestRunLink:
     def test_load_and_path_gain_do_not_move_the_link(self):
         # The noise is calibrated on the received voltage, so neither the load
         # resistance nor the path gain changes what the receiver sees; the
-        # powers scale as 1/r_load and the normalized FOM stays put.
+        # powers scale as 1/r_load, the path gain moves no reported power, and
+        # the normalized FOM stays put.
         sys_cfg, pa_cfg, _ = _configs(n_symbols=2000, ibo=1.0)
         ref = run_link(sys_cfg, pa_cfg, ChannelConfig())
         for r_load, alpha in ((0.25, 1.0), (4.0, 1.0), (1.0, 0.5), (1.0, 2.0), (4.0, 0.5)):
@@ -135,8 +139,11 @@ class TestRunLink:
                          ChannelConfig(alpha=alpha))
             for name in ("mi", "b_pa", "fom_normalized"):
                 assert np.isclose(getattr(m, name), getattr(ref, name), rtol=1e-6, atol=0), name
-            assert np.isclose(m.p_pa * r_load, ref.p_pa, rtol=1e-12)
-            assert np.isclose(m.p_t * r_load, ref.p_t, rtol=1e-12)
+            assert np.isclose(m.p_pa * r_load, ref.p_pa, rtol=1e-12, atol=0)
+            assert np.isclose(m.p_t * r_load, ref.p_t, rtol=1e-12, atol=0)
+            if r_load == 1.0:
+                assert np.isclose(m.p_pa, ref.p_pa, rtol=1e-12, atol=0), alpha
+                assert np.isclose(m.p_t, ref.p_t, rtol=1e-12, atol=0), alpha
 
     def test_peak_memory_stays_near_three_frames(self):
         # Each frame-length buffer is freed after its last stage, so about three
