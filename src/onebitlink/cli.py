@@ -57,7 +57,7 @@ def cmd_run(args):
     cfg = _load_experiment(args)
     sys_cfg = cfg.system_config()
     metrics = pipeline.run_link(sys_cfg, cfg.pa_config(), cfg.channel_config())
-    bias = plugin_mi_bias(sys_cfg.effective_mi_bins, cfg.n_symbols - 2 * cfg.rrc_span)
+    bias = plugin_mi_bias(sys_cfg.mi_bins, cfg.n_symbols - 2 * cfg.rrc_span)
     print(f"system={cfg.variant} ibo={_fmt(cfg.ibo)} b_bpf={_fmt(cfg.bbpf_over_b)}B "
           f"seed={cfg.seed}")
     print(f"  mi={metrics.mi:.6f} bits  (plug-in bias ~ {bias:.4f})")
@@ -162,7 +162,7 @@ def build_parser():
                     "and a clipping amplifier")
     sub = parser.add_subparsers(dest="command", required=True)
     out = _Parser(add_help=False)
-    out.add_argument("--out",
+    out.add_argument("--out", type=config_mod.output_dir,
                      help=f"output directory (default {config_mod.ExperimentConfig.out_dir})")
     link = _Parser(add_help=False, parents=[out])
     link.add_argument("--config", help="key-value configuration file")

@@ -12,6 +12,7 @@ form `lo:step:hi` (inclusive, at most MAX_RANGE_VALUES values) is also
 accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite.
 """
 
+import argparse
 import math
 from dataclasses import dataclass
 
@@ -24,12 +25,24 @@ from .errors import ConfigurationError
 MAX_RANGE_VALUES = 10_000
 
 
+# finite_float and output_dir double as argparse types, and argparse prints an
+# ArgumentTypeError's message as is: a flag and a key report the same reason.
 def finite_float(text):
     """float(text), rejecting nan and +-inf."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not a finite number")
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a finite number")
     return value
+
+
+def output_dir(text):
+    """A nonempty output directory path."""
+    if not text:
+        raise argparse.ArgumentTypeError("output directory must not be empty")
+    return text
 
 
 def _float_list(text):
@@ -56,13 +69,9 @@ def _str_list(text):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _optional_int(text):
-    return None if text.strip().lower() == "none" else int(text)
-
-
 _SCHEMA = {
     "seed": ("seed", int),
-    "out": ("out_dir", str),
+    "out": ("out_dir", output_dir),
     "system.variant": ("variant", str),
     "system.n_symbols": ("n_symbols", int),
     "system.analog_sps": ("analog_sps", int),
@@ -70,7 +79,6 @@ _SCHEMA = {
     "system.rrc_rolloff": ("rrc_rolloff", finite_float),
     "system.rrc_span": ("rrc_span", int),
     "system.lpf_order": ("lpf_order", int),
-    "system.mi_bins": ("mi_bins", _optional_int),
     "pa.ibo": ("ibo", finite_float),
     "pa.r_load": ("r_load", finite_float),
     "pa.bbpf_over_b": ("bbpf_over_b", finite_float),
@@ -97,7 +105,6 @@ class ExperimentConfig:
     rrc_rolloff: float = dsp.RrcSpec.roll_off
     rrc_span: int = dsp.RrcSpec.span
     lpf_order: int = dsp.ButterworthSpec.order
-    mi_bins: int | None = pipeline.SystemConfig.mi_bins
     ibo: float = pa_mod.PaConfig.ibo
     r_load: float = pa_mod.PaConfig.r_load
     bbpf_over_b: float = 0.9
@@ -117,8 +124,7 @@ class ExperimentConfig:
             n_symbols=self.n_symbols,
             rrc=dsp.RrcSpec(self.rrc_rolloff, self.rrc_span),
             lpf=dsp.ButterworthSpec(order=self.lpf_order),
-            seed=self.seed,
-            mi_bins=self.mi_bins)
+            seed=self.seed)
 
     def pa_config(self):
         return pa_mod.PaConfig(
@@ -154,7 +160,7 @@ def parse_config_text(text):
         attr, conv = _SCHEMA[key]
         try:
             values[attr] = conv(value)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**values)
 

@@ -311,23 +311,21 @@ def paired_at_lag(tx, rx, lag, stride=1):
     return tx[n_lo:n_hi], rx[idx]
 
 
-def align(tx, rx_soft, stride=1, max_lag=None):
+def align(tx, rx_soft, max_lag, stride=1):
     """Find the lag and complex scale relating a received stream to tx symbols.
 
     The lag search pairs tx[n] with rx_soft[lag + stride*n] for lag in
-    [-max_lag, +max_lag] (default max_lag = 4*stride, four symbol durations)
-    and maximizes the magnitude of the normalized cross-correlation. The
-    returned scalar c is the least-squares solution of tx ~ c * rx at the
-    chosen lag, so callers can undo deterministic delay, rotation, and gain
-    in one step. If a second lag correlates within 1% of the peak, an
-    AlignmentAmbiguityWarning is issued and the smallest qualifying lag is
-    chosen.
+    [0, max_lag] and maximizes the magnitude of the normalized
+    cross-correlation. The returned scalar c is the least-squares solution of
+    tx ~ c * rx at the chosen lag, so callers can undo deterministic delay,
+    rotation, and gain in one step. If a second lag correlates within 1% of
+    the peak, an AlignmentAmbiguityWarning is issued and the smallest
+    qualifying lag is chosen. A peak on max_lag itself may lie beyond the
+    window, so it raises ValueError.
     """
     tx = np.asarray(tx)
     rx_soft = np.asarray(rx_soft)
-    if max_lag is None:
-        max_lag = 4 * stride
-    lags = np.arange(-max_lag, max_lag + 1)
+    lags = np.arange(max_lag + 1)
     metric = np.full(len(lags), -1.0)
     for k, lag in enumerate(lags):
         t, r = paired_at_lag(tx, rx_soft, int(lag), stride)
@@ -337,6 +335,8 @@ def align(tx, rx_soft, stride=1, max_lag=None):
     peak = metric.max()
     if peak <= 0.0:
         raise ValueError("no overlap between tx and rx_soft within the lag window")
+    if metric.argmax() == max_lag:
+        raise ValueError(f"correlation peaks on the last lag {max_lag} of the window")
     qualifying = lags[metric >= 0.99 * peak]  # always holds the argmax
     if len(qualifying) > 1:
         warnings.warn(

@@ -24,6 +24,7 @@ class PaConfig:
 
     bpf is the reconstruction filter prototype (see pipeline.bpf_spec_for), ibo
     the input back-off v_sat/sigma_x (small ibo clips hard), r_load the load in ohms.
+    The chain drives the amplifier at unit RMS, so v_sat is ibo itself.
     """
 
     bpf: ButterworthSpec
@@ -38,13 +39,6 @@ class PaConfig:
         if self.bpf.kind != "bandpass":
             raise ConfigurationError("pa reconstruction filter must be a bandpass design")
 
-
-def set_operating_point(ibo, x_p, window=slice(None)):
-    """Saturation voltage for back-off `ibo`: v_sat = ibo * RMS(x_p[window])."""
-    rms = np.sqrt(np.mean(np.square(np.asarray(x_p)[window])))
-    if rms == 0.0:
-        raise ValueError("cannot set an operating point on a zero-power input")
-    return ibo * rms
 
 def clip(x_p, v_sat):
     """Hard-limit the passband waveform to [-v_sat, +v_sat]."""

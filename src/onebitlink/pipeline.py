@@ -24,9 +24,9 @@ from .errors import ConfigurationError, StageError
 
 QPSK_ALPHABET = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
-# variant -> (RRC pulse shaping at the transmitter, 1-bit converters, default
-# MI bins per dimension). The pulse-shaped variants feed the DAC at the RRC
-# rate, the shaper-free variant converts raw symbols directly.
+# variant -> (RRC pulse shaping at the transmitter, 1-bit converters, MI bins
+# per dimension). The pulse-shaped variants feed the DAC at the RRC rate, the
+# shaper-free variant converts raw symbols directly.
 _VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (False, True, 2)}
 VARIANTS = tuple(_VARIANT_TABLE)
 
@@ -49,7 +49,6 @@ class SystemConfig:
     rrc: dsp.RrcSpec = field(default_factory=dsp.RrcSpec)
     lpf: dsp.ButterworthSpec = field(default_factory=dsp.ButterworthSpec)
     seed: int = 1
-    mi_bins: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -77,11 +76,6 @@ class SystemConfig:
         if occupied >= nyquist:
             raise ConfigurationError(
                 f"carrier {self.fc()} plus signal bandwidth exceeds Nyquist {nyquist}")
-        # The MI histogram's 4 * mi_bins^2 cells: no more than there are symbols.
-        if self.mi_bins is not None and (self.mi_bins < 2 or 4 * self.mi_bins ** 2 > self.n_symbols):
-            raise ConfigurationError(
-                f"mi_bins must be >= 2 with 4 * mi_bins^2 <= n_symbols={self.n_symbols}, "
-                f"got {self.mi_bins}")
 
     @property
     def adc_sps(self):
@@ -100,9 +94,9 @@ class SystemConfig:
         return _VARIANT_TABLE[self.variant][1]
 
     @property
-    def effective_mi_bins(self):
-        """MI bins per dimension in effect: the override, else the variant's default."""
-        return self.mi_bins if self.mi_bins is not None else _VARIANT_TABLE[self.variant][2]
+    def mi_bins(self):
+        """MI histogram bins per dimension."""
+        return _VARIANT_TABLE[self.variant][2]
 
     def fc(self):
         return self.fc_multiple * self.b
@@ -143,7 +137,7 @@ def _transmit(dac_in, sys_cfg, pa_cfg, window):
     with _stage("pa"):
         wave = dsp.upconvert(wave, sys_cfg.fc(), fs)
         wave = wave / np.sqrt(np.mean(np.square(wave[window])))  # x_p, unit RMS
-        v_sat = pa_mod.set_operating_point(pa_cfg.ibo, wave, window)
+        v_sat = pa_cfg.ibo  # so the saturation voltage is the back-off itself
         wave = pa_mod.clip(wave, v_sat)  # v_t
         bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
         y_p = pa_mod.bandpass_reconstruct(wave, bpf_sos)
@@ -208,13 +202,14 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     rx = _receive(y_rx, lpf_sos, taps, delay, sys_cfg)
 
     with _stage("align"):
-        lag, c = dsp.align(tx, rx, stride=sys_cfg.adc_sps)
+        # Lags up to the span-many symbols that the keep slice trims anyway.
+        lag, c = dsp.align(tx, rx, span * sys_cfg.adc_sps, stride=sys_cfg.adc_sps)
         tx_used, rx_used = dsp.paired_at_lag(tx, rx, lag, sys_cfg.adc_sps)
         rx_hat = c * rx_used
         keep = slice(span, len(tx_used) - span)
 
     with _stage("metrics"):
-        mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep], sys_cfg.effective_mi_bins)
+        mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep], sys_cfg.mi_bins)
         rate_r = sys_cfg.b * mi
         psd = metrics_mod.welch_psd(y_p[window], fs)
         b_pa = metrics_mod.occupied_bandwidth(psd, sys_cfg.fc())
@@ -229,7 +224,10 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 def bpf_spec_for(bbpf_over_b, sys_cfg, order):
     """Bandpass prototype of width bbpf_over_b * B centered on the carrier."""
     half = bbpf_over_b * sys_cfg.b / 2.0
+    high = sys_cfg.fc() + half
+    nyquist = sys_cfg.fs() / 2.0
+    if high >= nyquist:
+        raise ConfigurationError(f"bandpass edge {high} must lie below the Nyquist rate {nyquist}")
     return dsp.ButterworthSpec(order=order, kind="bandpass",
-                               cutoff_low=sys_cfg.fc() - half,
-                               cutoff_high=sys_cfg.fc() + half)
+                               cutoff_low=sys_cfg.fc() - half, cutoff_high=high)
 

@@ -150,17 +150,19 @@ class TestBadInput:
         assert rc == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and flag in err
+        assert "'nan' is not a finite number" in err
 
     # A malformed flag is a configuration error like a malformed key, not an
     # argparse usage exit (2, which the CLI reserves for runtime failures).
     @pytest.mark.parametrize("argv", [
         ["run", "--seed", "abc"], ["run", "--system", "sys9"],
-        ["sweep", "--jobs", "abc"], ["run", "--no-such-flag"],
-    ], ids=["seed", "system", "jobs", "unknown"])
+        ["sweep", "--jobs", "abc"], ["run", "--no-such-flag"], ["run", "--bbpf", "abc"],
+    ], ids=["seed", "system", "jobs", "unknown", "bbpf"])
     def test_malformed_flag_exits_1(self, tmp_path, capsys, argv):
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and argv[1] in err
+        assert "finite_float" not in err
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_0(self, capsys):
@@ -190,9 +192,10 @@ class TestBadInput:
         assert time.perf_counter() - t0 < 1.0
         assert "frame limit" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["system.adc_sps", "system.rrc_sps"])
+    @pytest.mark.parametrize("key", ["system.adc_sps", "system.rrc_sps", "system.mi_bins"])
     def test_removed_converter_rate_keys_exit_1(self, tmp_path, capsys, key):
-        # The converter rate is the RRC's samples per symbol and has no config key.
+        # The converter rate is the RRC's samples per symbol and the MI bins are
+        # the variant's; neither has a config key.
         cfg = _write_cfg(tmp_path, FAST_CFG + f"{key} = 4\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -237,14 +240,42 @@ class TestBadInput:
         assert "PSD segment" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_oversized_mi_bins_exits_1_before_allocating(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, "system.mi_bins = 1000000\n")
+    # An empty directory name is not "unset": it exits 1 before any work and
+    # writes nothing, not even into the default directory.
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", ""], ["sweep", "--jobs", "1", "--out", ""], ["amam", "--out", ""],
+        ["run", "--config", "empty_out.cfg"],
+    ], ids=["run", "sweep", "amam", "key"])
+    def test_empty_output_directory_exits_1_without_output(self, tmp_path, monkeypatch,
+                                                           capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        _write_cfg(tmp_path, FAST_CFG + "out =\n", name="empty_out.cfg")
         t0 = time.perf_counter()
-        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 1
+        assert cli.main(argv) == 1
         assert time.perf_counter() - t0 < 1.0
-        assert "mi_bins" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "output directory must not be empty" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty_out.cfg"]
+
+    def test_bandpass_above_nyquist_exits_1(self, tmp_path, capsys):
+        # Carrier 50 B at 128 samples per symbol: a 30 B bandpass ends at 65 B > 64 B.
+        cfg = _write_cfg(tmp_path, FAST_CFG + "system.fc_multiple = 50\n")
+        assert cli.main(["run", "--config", cfg, "--bbpf", "30",
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Nyquist" in err
         assert not (tmp_path / "o").exists()
+
+    def test_bandpass_above_nyquist_is_a_failed_sweep_point(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, FAST_CFG + "system.fc_multiple = 50\ngrid.ibo = 0.1\n"
+                         + "grid.bbpf = 0.9, 30\ngrid.systems = sys2\n")
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert "(1 ok, 1 failed)" in capsys.readouterr().out
+        failures = (tmp_path / "o" / "failures.log").read_text().splitlines()
+        assert len(failures) == 1
+        assert failures[0].startswith("sys2,0.1,30,ConfigurationError:")
+        assert "Nyquist" in failures[0]
 
     def test_oversized_range_exits_1_quickly(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "grid.bbpf = 0.4:1e-12:2.0\n")

@@ -239,7 +239,7 @@ class TestAlign:
     def test_rotation_only(self):
         rng = np.random.default_rng(4)
         tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=200) / np.sqrt(2)
-        lag, c = align(tx, 1j * tx)
+        lag, c = align(tx, 1j * tx, max_lag=4)
         assert lag == 0
         assert np.isclose(c, -1j, atol=1e-12)
 
@@ -261,6 +261,14 @@ class TestAlign:
         with pytest.warns(AlignmentAmbiguityWarning):
             lag, _ = align(tx, rx, stride=1, max_lag=8)
         assert lag == 3
+
+    def test_peak_on_the_last_lag_raises(self):
+        # The true delay might lie past the window, so no lag is returned.
+        rng = np.random.default_rng(7)
+        tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=200) / np.sqrt(2)
+        rx = np.concatenate([np.zeros(7, dtype=complex), tx])
+        with pytest.raises(ValueError, match="last lag 7"):
+            align(tx, rx, stride=1, max_lag=7)
 
     def test_no_overlap(self):
         with pytest.raises(ValueError):

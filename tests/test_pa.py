@@ -4,8 +4,7 @@ import pytest
 from onebitlink.dsp import ButterworthSpec, design_butterworth
 from onebitlink.errors import ConfigurationError
 from onebitlink.pa import (HARMONIC_BOUND, PaConfig, am_am_curve,
-                           bandpass_reconstruct, clip, pa_power,
-                           set_operating_point, transmit_power)
+                           bandpass_reconstruct, clip, pa_power, transmit_power)
 
 # first harmonic of a clipped unit cosine, (2/pi)(asin r + r sqrt(1-r^2))
 FIRST_HARMONIC_AT_HALF = 0.6089977810442294
@@ -24,23 +23,6 @@ def test_clip_bound_is_exact():
     assert np.max(np.abs(y)) <= 0.7
     inside = np.abs(x) <= 0.7
     np.testing.assert_allclose(y[inside], x[inside])
-
-
-def test_set_operating_point_scales_with_rms():
-    x = np.full(100, 2.0)
-    assert np.isclose(set_operating_point(0.1, x), 0.2)
-    # on a unit-RMS waveform v_sat equals the back-off itself
-    assert np.isclose(set_operating_point(0.1, np.ones(50)), 0.1)
-
-
-def test_set_operating_point_window():
-    x = np.concatenate([np.zeros(10), np.ones(20), np.zeros(10)])
-    assert np.isclose(set_operating_point(1.0, x, window=slice(10, 30)), 1.0)
-
-
-def test_set_operating_point_rejects_silence():
-    with pytest.raises(ValueError):
-        set_operating_point(0.1, np.zeros(8))
 
 
 def test_first_harmonic_oracle_values():
@@ -81,7 +63,7 @@ def test_clipped_sine_chain_respects_harmonic_bound():
     fs, fc = 128.0, 30.0
     n = 8192
     x = np.sqrt(2.0) * np.cos(2 * np.pi * fc * np.arange(n) / fs)  # unit RMS
-    v_sat = set_operating_point(0.1, x)
+    v_sat = 0.1 * np.sqrt(np.mean(np.square(x)))  # back-off 0.1
     v_t = clip(x, v_sat)
     sos = design_butterworth(ButterworthSpec(order=4, kind="bandpass",
                                              cutoff_low=fc - 0.45,

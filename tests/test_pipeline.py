@@ -52,8 +52,7 @@ class TestSystemConfig:
 
     def test_effective_mi_bins(self):
         # soft receiver: 8 bins per dimension; 1-bit receivers: the 2 signs
-        assert [SystemConfig(variant=v).effective_mi_bins for v in VARIANTS] == [8, 2, 2]
-        assert SystemConfig(variant="sys1", mi_bins=4).effective_mi_bins == 4
+        assert [SystemConfig(variant=v).mi_bins for v in VARIANTS] == [8, 2, 2]
 
     @pytest.mark.parametrize("kwargs", [
         dict(variant="sys4"),
@@ -61,8 +60,6 @@ class TestSystemConfig:
         dict(analog_sps=127),                      # not divisible by the converter rate
         dict(rrc=RrcSpec(samples_per_symbol=3)),   # converter rate does not divide 128
         dict(fc_multiple=63.0),                    # carrier too close to Nyquist
-        dict(mi_bins=1),
-        dict(n_symbols=2000, mi_bins=23),          # 4 * 23^2 = 2116 cells > 2000 symbols
         dict(n_symbols=MAX_FRAME_SAMPLES // 128 + 1),  # frame above the size limit
         dict(seed=-1),                             # SeedSequence takes no negative seed
         # measurement window shorter than the 4096-sample PSD segment
@@ -109,14 +106,22 @@ class TestRunLink:
         assert m.p_t <= (4.0 / np.pi) * m.p_pa * (1 + 1e-9)
         assert 0.0 <= m.mi <= 2.0
 
-    def test_mi_bins_override(self):
-        sys_cfg = SystemConfig(variant="sys2", n_symbols=2000, mi_bins=4)
-        pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
-        m = run_link(sys_cfg, pa_cfg, ChannelConfig())
-        assert 0.0 <= m.mi <= 2.0
+    def test_steep_bandpass_delay_is_found(self):
+        # An order-8 bandpass of width 0.4 B delays the signal by about 23 ADC
+        # samples, beyond four symbols but inside the rrc span.
+        sys_cfg = SystemConfig(n_symbols=2000)
+        m = run_link(sys_cfg, PaConfig(ibo=0.1, bpf=bpf_spec_for(0.4, sys_cfg, 8)),
+                     ChannelConfig())
+        assert m.mi > 0.4
 
-    def test_largest_mi_bins_accepted(self):
-        SystemConfig(n_symbols=2000, mi_bins=22)  # 4 * 22^2 = 1936 cells
+    def test_delay_beyond_the_lag_window_fails_in_align(self):
+        # An order-16 bandpass of width 0.2 B delays the signal by about 78 ADC
+        # samples, past the 64 of the rrc span: no lag in the window is right.
+        sys_cfg = SystemConfig(n_symbols=2000)
+        with pytest.raises(StageError) as err:
+            run_link(sys_cfg, PaConfig(ibo=0.1, bpf=bpf_spec_for(0.2, sys_cfg, 16)),
+                     ChannelConfig())
+        assert err.value.stage == "align"
 
     @pytest.mark.parametrize("variant", ["sys1", "sys2"])
     def test_shaped_variants_run_at_any_converter_rate(self, variant):
