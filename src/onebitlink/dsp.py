@@ -5,7 +5,6 @@ explicit arguments, normalized so the symbol rate is 1 (all frequencies are in
 multiples of the baud rate B).
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -165,14 +164,7 @@ _BLAS_BLOCK = 2 ** 16
 
 
 def _matmul(a, b):
-    """a @ b for real b, in blocks of at most _BLAS_BLOCK multiply-adds.
-
-    A complex a is multiplied as interleaved (re, im) columns against b with
-    each entry doubled into a 2x2 identity, so b never becomes complex.
-    """
-    if np.iscomplexobj(a):
-        a = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-        return _matmul(a, np.kron(b, np.eye(2))).view(np.complex128)
+    """a @ b for real a and b, in blocks of at most _BLAS_BLOCK multiply-adds."""
     (m, k), n = a.shape, b.shape[1]
     out = np.empty((m, n))
     kt = min(k, _BLAS_BLOCK)
@@ -218,60 +210,76 @@ def _look_ahead(sos, M):
     return f, d
 
 
-def held_iir_filter(u, hold, sos):
-    """iir_filter(zoh_hold(u, hold), sos) without the held frame.
+def _phasors(turn, n):
+    """exp(j 2 pi turn k) for k < n, in closed form like upconvert's carrier.
+
+    The phase is reduced to a fraction of a turn before it is scaled by 2 pi,
+    so it stays exact for large k instead of growing with the index.
+    """
+    phase = turn % 1.0 * np.arange(n)
+    angle = 2.0 * np.pi * (phase - np.floor(phase))
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+def held_iir_upconvert(u, hold, sos, fc, fs):
+    """upconvert(iir_filter(zoh_hold(u, hold), sos), fc, fs) without the held frame.
 
     With H = F(z) / D(z^hold), the D sections run on u itself; the held,
-    filtered output is then G(z) = F(z) (1 + z^-1 + ... + z^-(hold-1))
+    filtered baseband is then G(z) = F(z) (1 + z^-1 + ... + z^-(hold-1))
     applied polyphase: output block n is sum over lags l of v[n-l] G[l, :].
+    Sample c of block n sees the carrier w^(n-l) exp(j 2 pi fc (l hold + c) / fs),
+    w = exp(j 2 pi fc hold / fs), so with v[m] w^m in the lag matrix and the
+    carrier folded into G the real passband is one real product of the rows
+    [Re, Im] of the lags with the rows [Re, -Im] of the modulated taps.
     """
     if hold < 1:
         raise ValueError(f"hold factor must be >= 1, got {hold}")
+    if fs <= 2.0 * fc:
+        raise ConfigurationError(f"sample rate {fs} cannot carry fc={fc} (needs fs > 2 fc)")
     f, d = _look_ahead(sos, hold)
     g = np.cumsum(f)
     g[hold:] -= g[:-hold].copy()
-    g = g.astype(np.float64).reshape(-1, hold)
-    v = sig.sosfilt(d, np.asarray(u))
-    lags = np.zeros((len(v), len(g)), dtype=v.dtype)
-    for lag in range(len(g)):
+    g = g.astype(np.float64) * _phasors(fc / fs, len(g))
+    v = sig.sosfilt(d, np.asarray(u)) * _phasors(fc * hold / fs, len(u))
+    n_lags = len(g) // hold
+    lags = np.zeros((len(v), n_lags), dtype=np.complex128)
+    for lag in range(n_lags):
         lags[lag:, lag] = v[:len(v) - lag]
-    return _matmul(lags, g).reshape(-1)
+    taps = np.empty((2 * n_lags, hold))
+    taps[0::2] = g.real.reshape(n_lags, hold)
+    taps[1::2] = -g.imag.reshape(n_lags, hold)
+    return _matmul(lags.view(np.float64), taps).reshape(-1)
 
 
-def decimated_iir_filter(x, sos, step):
-    """iir_filter(x, sos)[::step] without the full-rate output.
+def downconvert_decimated_iir(x_p, sos, step, fc, fs):
+    """iir_filter(downconvert(x_p, fc, fs), sos)[::step] without the full-rate output.
 
     With H = F(z) / D(z^step), the kept outputs need F only at multiples of
     step: one product of the (K x step) reshaped frame with a (step x L) tap
-    matrix, L-1 shifted adds, then the D sections on K samples.
+    matrix, L-1 shifted adds, then the D sections on K samples. Mixing then
+    filtering equals filtering with the modulated taps 2 f[k] exp(j 2 pi fc k / fs)
+    and mixing output n by conj(w)^n, w = exp(j 2 pi fc step / fs): the real
+    frame meets complex taps in one real product, and no baseband frame is built.
     """
     if step < 1:
         raise ValueError(f"decimation step must be >= 1, got {step}")
-    x = np.asarray(x)
+    x = np.asarray(x_p, dtype=np.float64)
     f, d = _look_ahead(sos, step)
     n_out = -(-len(x) // step)
     if len(x) % step:
-        x = np.concatenate([x, np.zeros(n_out * step - len(x), dtype=x.dtype)])
+        x = np.concatenate([x, np.zeros(n_out * step - len(x))])
+    n_taps = len(f) - step + 1  # the rest of f is zero padding
+    f = 2.0 * f[:n_taps].astype(np.float64) * _phasors(fc / fs, n_taps)
     # taps[c, l] = f[l*step - c]: sample c of block n-l feeds output n.
-    padded = np.concatenate([np.zeros(step - 1), f[:len(f) - step + 1]]).astype(np.float64)
+    padded = np.concatenate([np.zeros(step - 1), f])
     taps = np.ascontiguousarray(padded.reshape(-1, step)[:, ::-1].T)
-    parts = _matmul(x.reshape(n_out, step), taps)
+    mix = _phasors(fc * step / fs, n_out).conj()
+    parts = _matmul(x.reshape(n_out, step), taps.view(np.float64)).view(np.complex128)
     w = parts[:, 0].copy()
     for lag in range(1, parts.shape[1]):
         w[lag:] += parts[:n_out - lag, lag]
+    w *= mix
     return sig.sosfilt(d, w)
-
-
-@functools.lru_cache(maxsize=1)
-def _carrier(n, fc, fs):
-    """Read-only exp(j 2 pi fc k / fs) for k in [0, n).
-
-    One frame length is in use per process, so a single cached entry serves
-    every upconvert and downconvert of a run or sweep; SystemConfig bounds n.
-    """
-    carrier = np.exp(2j * np.pi * fc * np.arange(n) / fs)
-    carrier.flags.writeable = False
-    return carrier
 
 
 def upconvert(x_bb, fc, fs):
@@ -279,36 +287,36 @@ def upconvert(x_bb, fc, fs):
 
     x_p[n] = Re{x_bb[n] exp(j 2 pi fc n / fs)}. Mean power drops by half
     relative to the baseband input; the downconvert gain of 2 restores it.
+    held_iir_upconvert mixes inside the transmit lowpass; this is its reference.
     """
     if fs <= 2.0 * fc:
         raise ConfigurationError(f"sample rate {fs} cannot carry fc={fc} (needs fs > 2 fc)")
     x_bb = np.asarray(x_bb)
-    return np.real(x_bb * _carrier(len(x_bb), fc, fs))
+    return np.real(x_bb * np.exp(2j * np.pi * fc * np.arange(len(x_bb)) / fs))
 
 
 def downconvert(x_p, fc, fs):
     """Mix a real passband signal down to complex baseband (gain 2, images kept).
 
     The caller applies a lowpass to remove the residual component at 2 fc.
+    downconvert_decimated_iir mixes inside the receive lowpass; this is its reference.
     """
     x_p = np.asarray(x_p)
-    return 2.0 * x_p * np.conj(_carrier(len(x_p), fc, fs))
+    return 2.0 * x_p * np.conj(np.exp(2j * np.pi * fc * np.arange(len(x_p)) / fs))
 
 
 def paired_at_lag(tx, rx, lag, stride=1):
-    """Pair tx[n] with rx[lag + stride*n] over all valid n.
+    """Pair tx[n] with rx[lag + stride*n] over all valid n, for lag >= 0.
 
-    Returns the two equal-length views used for correlation, scaling, and
+    Returns the two equal-length arrays used for correlation, scaling, and
     mutual-information estimation at a candidate lag.
     """
+    if lag < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}")
     tx = np.asarray(tx)
     rx = np.asarray(rx)
-    n_lo = 0 if lag >= 0 else -(lag // stride)
-    n_hi = min(len(tx), (len(rx) - 1 - lag) // stride + 1)
-    if n_hi <= n_lo:
-        return tx[:0], rx[:0]
-    idx = lag + stride * np.arange(n_lo, n_hi)
-    return tx[n_lo:n_hi], rx[idx]
+    n = max(0, min(len(tx), (len(rx) - 1 - lag) // stride + 1))
+    return tx[:n], rx[lag + stride * np.arange(n)]
 
 
 def align(tx, rx_soft, max_lag, stride=1):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dsp, pipeline
+from . import pipeline
 from .errors import ConfigurationError
 
 
@@ -109,9 +109,6 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     if workers == 1:
         points = [evaluate(t) for t in tasks]
     else:
-        # Built before the fork, so the workers share its read-only pages
-        # instead of each building its own.
-        dsp._carrier(sys_cfg.n_symbols * sys_cfg.analog_sps, sys_cfg.fc(), sys_cfg.fs())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(evaluate, tasks, chunksize=1))
 

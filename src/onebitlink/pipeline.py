@@ -31,7 +31,7 @@ _VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (Fa
 VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
-# run holds about three complex frames at its peak, plus one cached carrier.
+# run holds about two complex frames at its peak.
 MAX_FRAME_SAMPLES = 2 ** 24
 
 
@@ -132,10 +132,10 @@ def _transmit(dac_in, sys_cfg, pa_cfg, window):
         if sys_cfg.one_bit:
             dac_in = quantizers.one_bit_quantize(dac_in)
         lpf_sos = dsp.design_butterworth(sys_cfg.lpf, fs)
-        wave = dsp.held_iir_filter(dac_in, sys_cfg.analog_sps // sys_cfg.dac_sps, lpf_sos)
+        wave = dsp.held_iir_upconvert(dac_in, sys_cfg.analog_sps // sys_cfg.dac_sps, lpf_sos,
+                                      sys_cfg.fc(), fs)
 
     with _stage("pa"):
-        wave = dsp.upconvert(wave, sys_cfg.fc(), fs)
         wave = wave / np.sqrt(np.mean(np.square(wave[window])))  # x_p, unit RMS
         v_sat = pa_cfg.ibo  # so the saturation voltage is the back-off itself
         wave = pa_mod.clip(wave, v_sat)  # v_t
@@ -150,11 +150,12 @@ def _transmit(dac_in, sys_cfg, pa_cfg, window):
 def _receive(y_rx, lpf_sos, taps, delay, sys_cfg):
     """The rx stage: received passband waveform to matched-filter outputs at adc_sps.
 
-    Only the short output outlives the call; the frame-length baseband does not.
+    The mixer and the lowpass run as one block-rate kernel, so no frame-length
+    baseband is built.
     """
     with _stage("rx"):
-        bb = dsp.downconvert(y_rx, sys_cfg.fc(), sys_cfg.fs())
-        rx = dsp.decimated_iir_filter(bb, lpf_sos, sys_cfg.analog_sps // sys_cfg.adc_sps)
+        rx = dsp.downconvert_decimated_iir(y_rx, lpf_sos, sys_cfg.analog_sps // sys_cfg.adc_sps,
+                                           sys_cfg.fc(), sys_cfg.fs())
         if sys_cfg.one_bit:
             rx = quantizers.one_bit_quantize(rx)
         return dsp.fir_filter(rx, taps)[delay:delay + len(rx)]

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sig
 
 from onebitlink import dsp
 from onebitlink.dsp import (AlignmentAmbiguityWarning, ButterworthSpec, RrcSpec,
-                            align, decimated_iir_filter, design_butterworth,
-                            design_rrc, downconvert, fir_filter, held_iir_filter,
+                            align, design_butterworth, design_rrc, downconvert,
+                            downconvert_decimated_iir, fir_filter, held_iir_upconvert,
                             iir_filter, paired_at_lag, upconvert,
                             upsample_zero_insert, zoh_hold)
 from onebitlink.errors import ConfigurationError
@@ -126,7 +128,17 @@ class TestRateChanges:
 
 
 class TestBlockRateLowpass:
-    """The look-ahead kernels reproduce sosfilt to within 1e-10 of the output RMS."""
+    """The look-ahead kernels with the carrier folded in reproduce the mixer
+    and sosfilt to within 1e-10 of the output RMS.
+
+    The frames stay short: the references' carrier exp(j 2 pi fc k / fs) loses
+    phase accuracy as k grows, and the bound is meant for the kernels.
+    """
+
+    FC, FS = 30.0, 128.0
+    # The paper frame: 10^4 symbols at 128 samples per symbol. Mixing a
+    # complex frame, as upconvert and downconvert do, peaks at 3-6 real frames.
+    PAPER_FRAME = 10_000 * 128
 
     @staticmethod
     def _signal(n, complex_input, seed):
@@ -139,47 +151,85 @@ class TestBlockRateLowpass:
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.sqrt(np.mean(np.abs(ref) ** 2))
 
+    def _assert_transmit(self, u, hold, sos, fc, fs):
+        self._assert_close(held_iir_upconvert(u, hold, sos, fc, fs),
+                           upconvert(sig.sosfilt(sos, zoh_hold(u, hold)), fc, fs))
+
+    def _assert_receive(self, x, sos, step, fc, fs):
+        self._assert_close(downconvert_decimated_iir(x, sos, step, fc, fs),
+                           sig.sosfilt(sos, downconvert(x, fc, fs))[::step])
+
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("hold", [1, 4, 32, 128])
     @pytest.mark.parametrize("order", [1, 4, 5, 16])
     def test_held_matches_sosfilt_of_the_held_frame(self, order, hold, complex_input):
-        sos = design_butterworth(ButterworthSpec(order=order), fs=128.0)
+        sos = design_butterworth(ButterworthSpec(order=order), fs=self.FS)
         u = self._signal(257, complex_input, seed=order * hold)
-        self._assert_close(held_iir_filter(u, hold, sos),
-                           sig.sosfilt(sos, zoh_hold(u, hold)))
+        self._assert_transmit(u, hold, sos, self.FC, self.FS)
 
+    # "real" feeds a white real frame, "complex" the passband of a complex
+    # baseband frame, the receiver's own kind of input.
     @pytest.mark.parametrize("extra", [0, 1, -1], ids=["whole", "plus1", "minus1"])
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("step", [1, 4, 32, 128])
     @pytest.mark.parametrize("order", [1, 4, 5, 16])
     def test_decimated_matches_sosfilt_then_every_step(self, order, step, complex_input, extra):
-        sos = design_butterworth(ButterworthSpec(order=order), fs=128.0)
+        sos = design_butterworth(ButterworthSpec(order=order), fs=self.FS)
         x = self._signal(200 * step + extra, complex_input, seed=order * step)
-        self._assert_close(decimated_iir_filter(x, sos, step), sig.sosfilt(sos, x)[::step])
+        if complex_input:
+            x = upconvert(x, self.FC, self.FS)
+        self._assert_receive(x, sos, step, self.FC, self.FS)
 
     def test_other_analog_rate(self):
         # 256 samples per symbol: the transmit hold and receive step are 64.
         sos = design_butterworth(ButterworthSpec(order=4), fs=256.0)
-        u = self._signal(500, True, seed=3)
-        self._assert_close(held_iir_filter(u, 64, sos), sig.sosfilt(sos, zoh_hold(u, 64)))
-        x = self._signal(500 * 64, True, seed=4)
-        self._assert_close(decimated_iir_filter(x, sos, 64), sig.sosfilt(sos, x)[::64])
+        self._assert_transmit(self._signal(500, True, seed=3), 64, sos, self.FC, 256.0)
+        self._assert_receive(self._signal(500 * 64, False, seed=4), sos, 64, self.FC, 256.0)
 
-    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
-    def test_blocked_product_tiles_every_dimension(self, monkeypatch, complex_input):
+    def test_block_carrier_off_the_real_axis(self):
+        # fc * factor / fs = 1.73 turns: the block phasor w is not +-1.
+        sos = design_butterworth(ButterworthSpec(order=4), fs=100.0)
+        self._assert_transmit(self._signal(300, True, seed=5), 10, sos, 17.3, 100.0)
+        self._assert_receive(self._signal(3007, False, seed=6), sos, 10, 17.3, 100.0)
+
+    def test_blocked_product_tiles_every_dimension(self, monkeypatch):
         # A budget of 7 multiply-adds splits rows, columns and the inner sum.
         monkeypatch.setattr(dsp, "_BLAS_BLOCK", 7)
-        a = self._signal(5 * 13, complex_input, seed=1).reshape(5, 13)
+        a = self._signal(5 * 13, False, seed=1).reshape(5, 13)
         b = self._signal(13 * 4, False, seed=2).reshape(13, 4)
         np.testing.assert_allclose(dsp._matmul(a, b), a @ b, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("factor", [0, -1])
     def test_rate_factor_below_one_rejected(self, factor):
-        sos = design_butterworth(ButterworthSpec(), fs=128.0)
+        sos = design_butterworth(ButterworthSpec(), fs=self.FS)
         with pytest.raises(ValueError):
-            held_iir_filter(np.ones(4), factor, sos)
+            held_iir_upconvert(np.ones(4), factor, sos, self.FC, self.FS)
         with pytest.raises(ValueError):
-            decimated_iir_filter(np.ones(4), sos, factor)
+            downconvert_decimated_iir(np.ones(4), sos, factor, self.FC, self.FS)
+
+    @staticmethod
+    def _traced_peak(kernel, *args):
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("hold", [32, 128])
+    def test_transmit_peak_is_about_its_real_output(self, hold):
+        sos = design_butterworth(ButterworthSpec(), fs=self.FS)
+        u = self._signal(self.PAPER_FRAME // hold, True, seed=7)
+        peak = self._traced_peak(held_iir_upconvert, u, hold, sos, self.FC, self.FS)
+        frame = 8 * self.PAPER_FRAME
+        assert peak <= 1.5 * frame, f"peak {peak / frame:.2f} real frames"
+
+    def test_receive_peak_stays_below_one_frame(self):
+        sos = design_butterworth(ButterworthSpec(), fs=self.FS)
+        x = self._signal(self.PAPER_FRAME, False, seed=8)
+        peak = self._traced_peak(downconvert_decimated_iir, x, sos, 32, self.FC, self.FS)
+        frame = 8 * self.PAPER_FRAME
+        assert peak <= 0.6 * frame, f"peak {peak / frame:.2f} real frames"
 
 
 class TestMixers:
@@ -195,11 +245,16 @@ class TestMixers:
     def test_upconvert_requires_headroom(self):
         with pytest.raises(ConfigurationError):
             upconvert(np.ones(8, dtype=complex), fc=40.0, fs=64.0)
+        sos = design_butterworth(ButterworthSpec(), fs=64.0)
+        with pytest.raises(ConfigurationError):
+            held_iir_upconvert(np.ones(8, dtype=complex), 4, sos, fc=40.0, fs=64.0)
 
     def test_cached_carrier_matches_closed_form_bit_for_bit(self):
+        # The mixers are the references for the block-rate kernels: each
+        # computes exactly the closed-form carrier product.
         rng = np.random.default_rng(5)
         fc, fs = 30.0, 128.0
-        for n in (4096, 1000, 4096):  # a length change replaces the one cached carrier
+        for n in (4096, 1000):
             x_bb = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             x_p = rng.standard_normal(n)
             k = np.arange(n)
@@ -209,24 +264,19 @@ class TestMixers:
             down = downconvert(x_p, fc, fs)
             assert np.array_equal(up.view(np.uint64), up_ref.view(np.uint64))
             assert np.array_equal(down.view(np.uint64), down_ref.view(np.uint64))
-            assert dsp._carrier.cache_info().currsize <= 1
-
-    def test_cached_carrier_is_read_only(self):
-        carrier = dsp._carrier(64, 8.0, 64.0)
-        assert not carrier.flags.writeable
-        with pytest.raises(ValueError):
-            carrier[0] = 0.0
 
 
 class TestAlign:
     def test_pairing_negative_lag(self):
-        tx = np.arange(10.0)
-        rx = np.arange(30.0)
-        t, r = paired_at_lag(tx, rx, lag=-5, stride=4)
-        # first valid n satisfies -5 + 4n >= 0, so n starts at 2; the last
-        # needs -5 + 4n <= 29, so n stops after 8
-        np.testing.assert_allclose(t, tx[2:9])
-        np.testing.assert_allclose(r, rx[-5 + 4 * np.arange(2, 9)])
+        # align searches lags 0..max_lag only; a negative lag would wrap the index.
+        with pytest.raises(ValueError, match="nonnegative"):
+            paired_at_lag(np.arange(10.0), np.arange(30.0), lag=-5, stride=4)
+
+    def test_pairing_stops_at_the_end_of_rx(self):
+        t, r = paired_at_lag(np.arange(10.0), np.arange(30.0), lag=5, stride=4)
+        # the last n needs 5 + 4n <= 29, so n stops after 6
+        np.testing.assert_array_equal(t, np.arange(7.0))
+        np.testing.assert_array_equal(r, 5 + 4 * np.arange(7.0))
 
     def test_integer_delay(self):
         rng = np.random.default_rng(3)

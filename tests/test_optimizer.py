@@ -1,6 +1,5 @@
 import pytest
 
-from onebitlink import dsp
 from onebitlink.channel import ChannelConfig
 from onebitlink.errors import ConfigurationError
 from onebitlink.metrics import LinkMetrics
@@ -146,19 +145,6 @@ class TestJobs:
         assert started == [expected]
         assert res.workers == expected
         assert len(res.points) == n_bbpf
-
-    def test_carrier_built_before_the_pool_starts(self, fake_pool):
-        # Forked workers inherit the parent's carrier instead of building their own.
-        fake_pool(2)
-        dsp._carrier.cache_clear()
-        cached = []
-
-        def runner(*task):
-            cached.append(dsp._carrier.cache_info().currsize)
-            return _metrics(1.0)
-
-        grid_search(GridSpec((0.1,), (0.8, 0.9)), *_configs(), jobs=2, runner=runner)
-        assert cached == [1, 1]
 
     def test_single_core_runs_serially(self, fake_pool):
         started = fake_pool(1)

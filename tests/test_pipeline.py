@@ -151,11 +151,11 @@ class TestRunLink:
                 assert np.isclose(m.p_t, ref.p_t, rtol=1e-12, atol=0), alpha
 
     def test_peak_memory_stays_near_three_frames(self):
-        # Each frame-length buffer is freed after its last stage, so about three
-        # complex frames are live at the peak; keeping the dac, pa, channel and
-        # rx buffers until the PSD runs would take it past six.
+        # Each frame-length buffer is freed after its last stage, so about two
+        # and a half complex frames are live at the peak; keeping the dac, pa,
+        # channel and rx buffers until the PSD runs would take it past six.
+        # Nothing is cached across runs, so a first run is traced as it is.
         sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=2000)
-        run_link(sys_cfg, pa_cfg, ch_cfg)  # builds the cached carrier outside the trace
         tracemalloc.start()
         try:
             run_link(sys_cfg, pa_cfg, ch_cfg)
