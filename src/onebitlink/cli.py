@@ -57,7 +57,7 @@ def cmd_run(args):
     cfg = _load_experiment(args)
     sys_cfg = cfg.system_config()
     metrics = pipeline.run_link(sys_cfg, cfg.pa_config(), cfg.channel_config())
-    bias = plugin_mi_bias(sys_cfg.mi_bins, cfg.n_symbols - 2 * cfg.rrc_span)
+    bias = plugin_mi_bias(sys_cfg.mi_bins, sys_cfg.n_symbols - 2 * sys_cfg.rrc.span)
     print(f"system={cfg.variant} ibo={_fmt(cfg.ibo)} b_bpf={_fmt(cfg.bbpf_over_b)}B "
           f"seed={cfg.seed}")
     print(f"  mi={metrics.mi:.6f} bits  (plug-in bias ~ {bias:.4f})")

@@ -3,9 +3,9 @@
 Grammar: one `key = value` pair per line; blank lines and lines starting
 with '#' are ignored. Keys are namespaced with section prefixes
 (system.*, pa.*, channel.*, grid.*); `seed` and `out` are experiment-level.
-Unknown keys are rejected. Missing keys take ExperimentConfig's defaults,
-which reproduce the headline operating point (sys2, ibo 0.1, b_bpf 0.9B, 10 dB
-SINR, 10^4 symbols at 128 samples per symbol).
+Unknown keys are rejected. Missing keys take the defaults of the dataclass
+that owns the setting, which reproduce the headline operating point (sys2,
+ibo 0.1, b_bpf 0.9B, 10 dB SINR, 10^4 symbols at 128 samples per symbol).
 
 List values are comma-separated (`grid.ibo = 0.0316,0.1,1,10`); the range
 form `lo:step:hi` (inclusive, at most MAX_RANGE_VALUES values) is also
@@ -14,7 +14,7 @@ accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite.
 
 import argparse
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import channel as channel_mod
 from . import dsp, optimizer, pipeline
@@ -69,72 +69,60 @@ def _str_list(text):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
+# key -> (owner, name, converter). Owner None is an ExperimentConfig field; any
+# other owner (the bandpass order's is its builder) gets the value only if set.
 _SCHEMA = {
-    "seed": ("seed", int),
-    "out": ("out_dir", output_dir),
-    "system.variant": ("variant", str),
-    "system.n_symbols": ("n_symbols", int),
-    "system.analog_sps": ("analog_sps", int),
-    "system.fc_multiple": ("fc_multiple", finite_float),
-    "system.rrc_rolloff": ("rrc_rolloff", finite_float),
-    "system.rrc_span": ("rrc_span", int),
-    "system.lpf_order": ("lpf_order", int),
-    "pa.ibo": ("ibo", finite_float),
-    "pa.r_load": ("r_load", finite_float),
-    "pa.bbpf_over_b": ("bbpf_over_b", finite_float),
-    "pa.bpf_order": ("bpf_order", int),
-    "channel.alpha": ("alpha", finite_float),
-    "channel.sinr_db": ("sinr_db", finite_float),
-    "channel.interference_ratio": ("interference_ratio", finite_float),
-    "grid.ibo": ("grid_ibo", _float_list),
-    "grid.bbpf": ("grid_bbpf", _float_list),
-    "grid.systems": ("grid_systems", _str_list),
+    "seed": (None, "seed", int),
+    "out": (None, "out_dir", output_dir),
+    "system.variant": (None, "variant", str),
+    "system.n_symbols": (pipeline.SystemConfig, "n_symbols", int),
+    "system.analog_sps": (pipeline.SystemConfig, "analog_sps", int),
+    "system.fc_multiple": (pipeline.SystemConfig, "fc_multiple", finite_float),
+    "system.rrc_rolloff": (dsp.RrcSpec, "roll_off", finite_float),
+    "system.rrc_span": (dsp.RrcSpec, "span", int),
+    "system.lpf_order": (dsp.ButterworthSpec, "order", int),
+    "pa.ibo": (None, "ibo", finite_float),
+    "pa.r_load": (pa_mod.PaConfig, "r_load", finite_float),
+    "pa.bbpf_over_b": (None, "bbpf_over_b", finite_float),
+    "pa.bpf_order": (pipeline.bpf_spec_for, "order", int),
+    "channel.alpha": (channel_mod.ChannelConfig, "alpha", finite_float),
+    "channel.sinr_db": (channel_mod.ChannelConfig, "sinr_db", finite_float),
+    "channel.interference_ratio": (channel_mod.ChannelConfig, "interference_ratio", finite_float),
+    "grid.ibo": (None, "grid_ibo", _float_list),
+    "grid.bbpf": (None, "grid_bbpf", _float_list),
+    "grid.systems": (None, "grid_systems", _str_list),
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat mirror of the link and grid settings; each default comes from the setting's owner."""
+    """Operating point, grid and output directory; owned: owner -> {name: value} set by a file."""
 
     seed: int = pipeline.SystemConfig.seed
     out_dir: str = "results"
     variant: str = pipeline.SystemConfig.variant
-    n_symbols: int = pipeline.SystemConfig.n_symbols
-    analog_sps: int = pipeline.SystemConfig.analog_sps
-    fc_multiple: float = pipeline.SystemConfig.fc_multiple
-    rrc_rolloff: float = dsp.RrcSpec.roll_off
-    rrc_span: int = dsp.RrcSpec.span
-    lpf_order: int = dsp.ButterworthSpec.order
     ibo: float = pa_mod.PaConfig.ibo
-    r_load: float = pa_mod.PaConfig.r_load
     bbpf_over_b: float = 0.9
-    bpf_order: int = dsp.ButterworthSpec.order
-    alpha: float = channel_mod.ChannelConfig.alpha
-    sinr_db: float = channel_mod.ChannelConfig.sinr_db
-    interference_ratio: float = channel_mod.ChannelConfig.interference_ratio
     grid_ibo: tuple = (0.0316, 0.1, 1.0, 10.0)
     grid_bbpf: tuple = tuple(round(0.4 + 0.1 * k, 10) for k in range(17))
     grid_systems: tuple = pipeline.VARIANTS
+    owned: dict = field(default_factory=dict)
 
     def system_config(self):
         return pipeline.SystemConfig(
-            variant=self.variant,
-            fc_multiple=self.fc_multiple,
-            analog_sps=self.analog_sps,
-            n_symbols=self.n_symbols,
-            rrc=dsp.RrcSpec(self.rrc_rolloff, self.rrc_span),
-            lpf=dsp.ButterworthSpec(order=self.lpf_order),
-            seed=self.seed)
+            variant=self.variant, seed=self.seed,
+            rrc=dsp.RrcSpec(**self.owned.get(dsp.RrcSpec, {})),
+            lpf=dsp.ButterworthSpec(**self.owned.get(dsp.ButterworthSpec, {})),
+            **self.owned.get(pipeline.SystemConfig, {}))
 
     def pa_config(self):
+        order = self.owned.get(pipeline.bpf_spec_for, {}).get("order", dsp.ButterworthSpec.order)
         return pa_mod.PaConfig(
-            ibo=self.ibo, r_load=self.r_load,
-            bpf=pipeline.bpf_spec_for(self.bbpf_over_b, self.system_config(), self.bpf_order))
+            ibo=self.ibo, bpf=pipeline.bpf_spec_for(self.bbpf_over_b, self.system_config(), order),
+            **self.owned.get(pa_mod.PaConfig, {}))
 
     def channel_config(self):
-        return channel_mod.ChannelConfig(
-            alpha=self.alpha, sinr_db=self.sinr_db,
-            interference_ratio=self.interference_ratio)
+        return channel_mod.ChannelConfig(**self.owned.get(channel_mod.ChannelConfig, {}))
 
     def grid_spec(self):
         return optimizer.GridSpec(
@@ -145,7 +133,7 @@ class ExperimentConfig:
 
 def parse_config_text(text):
     """Parse key-value text into an ExperimentConfig; unset keys keep their defaults."""
-    values = {}
+    fields, owned = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -157,12 +145,13 @@ def parse_config_text(text):
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        attr, conv = _SCHEMA[key]
+        owner, name, conv = _SCHEMA[key]
         try:
-            values[attr] = conv(value)
+            value = conv(value)
         except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**values)
+        (fields if owner is None else owned.setdefault(owner, {}))[name] = value
+    return ExperimentConfig(owned=owned, **fields)
 
 
 def load_config(path):

@@ -305,7 +305,7 @@ def downconvert(x_p, fc, fs):
     return 2.0 * x_p * np.conj(np.exp(2j * np.pi * fc * np.arange(len(x_p)) / fs))
 
 
-def paired_at_lag(tx, rx, lag, stride=1):
+def paired_at_lag(tx, rx, lag, stride):
     """Pair tx[n] with rx[lag + stride*n] over all valid n, for lag >= 0.
 
     Returns the two equal-length arrays used for correlation, scaling, and
@@ -319,7 +319,7 @@ def paired_at_lag(tx, rx, lag, stride=1):
     return tx[:n], rx[lag + stride * np.arange(n)]
 
 
-def align(tx, rx_soft, max_lag, stride=1):
+def align(tx, rx_soft, max_lag, stride):
     """Find the lag and complex scale relating a received stream to tx symbols.
 
     The lag search pairs tx[n] with rx_soft[lag + stride*n] for lag in

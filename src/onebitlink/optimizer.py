@@ -2,6 +2,7 @@
 
 import functools
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -17,7 +18,7 @@ class GridSpec:
 
     ibo_values: tuple
     bbpf_values: tuple
-    systems: tuple = (pipeline.SystemConfig.variant,)
+    systems: tuple
 
     def __post_init__(self):
         for name, values in (("ibo", self.ibo_values), ("b_bpf", self.bbpf_values)):
@@ -44,6 +45,7 @@ class GridPoint:
     b_bpf: float
     metrics: object = None
     error: str = ""
+    warnings: tuple = ()  # (category, message, filename, lineno) of each warning raised
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,17 @@ def _run_point(sys_cfg, pa_cfg, ch_cfg, system, ibo, bbpf, seed):
 
 def _eval_point(runner, task):
     system, ibo, bbpf, _ = task
-    try:
-        return GridPoint(system, ibo, bbpf, metrics=runner(*task))
-    except Exception as exc:
-        return GridPoint(system, ibo, bbpf, error=f"{type(exc).__name__}: {exc}")
+    metrics, error = None, ""
+    # Recorded under the caller's filters, which a forked pool worker shares,
+    # and re-emitted by grid_search; entering catch_warnings resets the
+    # once-per-location registries, so each point records its own warnings.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            metrics = runner(*task)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    raised = tuple((w.category, str(w.message), w.filename, w.lineno) for w in caught)
+    return GridPoint(system, ibo, bbpf, metrics, error, raised)
 
 
 def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
@@ -90,6 +99,7 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     must be picklable when jobs > 1. Points run concurrently when jobs > 1, in a process pool of
     min(jobs, points, cpus) workers; results are always collected into
     (system, ibo, b_bpf) order, so the output is independent of scheduling.
+    The warnings each point raised are re-emitted here, in the same order.
     Per-point failures are recorded, not fatal; the argmax per system is
     taken over its successful points, with exact FOM ties broken toward
     smaller ibo, then smaller b_bpf. A system with no successful point raises.
@@ -113,6 +123,9 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
             points = list(pool.map(evaluate, tasks, chunksize=1))
 
     points.sort(key=lambda p: (p.system, p.ibo, p.b_bpf))
+    for p in points:
+        for category, message, filename, lineno in p.warnings:
+            warnings.warn_explicit(message, category, filename, lineno)
     argmax = {}
     for system in sorted(grid.systems):
         best = None

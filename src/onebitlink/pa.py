@@ -52,12 +52,12 @@ def bandpass_reconstruct(v_t, sos):
     return iir_filter(v_t, sos)
 
 
-def pa_power(i_l, v_sat, window=slice(None)):
+def pa_power(i_l, v_sat, window):
     """Battery draw p_pa = v_sat * mean|i_L| over the measurement window."""
     return v_sat * np.mean(np.abs(np.asarray(i_l)[window]))
 
 
-def transmit_power(i_l, y_p, window=slice(None)):
+def transmit_power(i_l, y_p, window):
     """Average delivered power p_t = mean(i_L * y_p) over the measurement window."""
     i_l = np.asarray(i_l)
     y_p = np.asarray(y_p)

@@ -71,9 +71,13 @@ class SystemConfig:
             raise ConfigurationError(
                 f"analog_sps={self.analog_sps} must be divisible by the converter rate "
                 f"rrc.samples_per_symbol={self.adc_sps}")
+        # The passband [fc - bandwidth, fc + bandwidth] must fit between 0 and Nyquist.
+        bandwidth = self.b * (1.0 + self.rrc.roll_off)
+        if self.fc() <= bandwidth:
+            raise ConfigurationError(
+                f"carrier {self.fc()} must lie above the signal bandwidth {bandwidth}")
         nyquist = self.analog_sps * self.b / 2.0
-        occupied = self.fc() + self.b * (1.0 + self.rrc.roll_off)
-        if occupied >= nyquist:
+        if self.fc() + bandwidth >= nyquist:
             raise ConfigurationError(
                 f"carrier {self.fc()} plus signal bandwidth exceeds Nyquist {nyquist}")
 

@@ -8,9 +8,12 @@ import ast
 import dataclasses
 import importlib.util
 import os
+import types
+
+import numpy as np
 
 import onebitlink
-from onebitlink import config, pipeline
+from onebitlink import config, optimizer, pipeline
 from onebitlink.channel import ChannelConfig
 from onebitlink.pa import PaConfig
 
@@ -40,7 +43,37 @@ def test_traced_functions_resolve():
 def test_frame_config_keys_parse():
     text = _constant("FRAME_CONFIG").format(ibo="0.1, 1", bbpf="0.9", systems="sys1, sys2")
     cfg = config.parse_config_text(text)
-    assert cfg.n_symbols == 10000 and cfg.grid_bbpf == (0.9,)
+    assert cfg.system_config().n_symbols == 10000 and cfg.grid_bbpf == (0.9,)
+
+
+def test_final_checks_config_writes_reach_the_built_configs():
+    # Sweeps.final_checks loads the frame config, writes seed and grid_bbpf,
+    # records each point's seed through grid_search, then writes variant, ibo,
+    # bbpf_over_b and seed and rebuilds the configs as `onebitlink run` does.
+    text = _constant("FRAME_CONFIG").format(ibo="0.1, 1", bbpf="0.9", systems="sys1, sys2")
+    cfg = config.parse_config_text(text)
+    cfg.seed, cfg.grid_bbpf = 77, (0.8, 1.1)
+    seeds = {}
+
+    def record_seed(system, ibo, bbpf, seed):
+        seeds[(system, ibo, bbpf)] = seed
+        return types.SimpleNamespace(fom_normalized=0.0)
+
+    optimizer.grid_search(cfg.grid_spec(), cfg.system_config(), cfg.pa_config(),
+                          cfg.channel_config(), jobs=1, runner=record_seed)
+    assert sorted(seeds) == [(s, i, b) for s in ("sys1", "sys2")
+                             for i in (0.1, 1.0) for b in (0.8, 1.1)]
+    assert sorted(seeds.values())[0] == 77
+
+    cfg.variant, cfg.ibo, cfg.bbpf_over_b = "sys1", 1.0, 1.1
+    cfg.seed = seeds[("sys1", 1.0, 1.1)]
+    sys_cfg, pa_cfg = cfg.system_config(), cfg.pa_config()
+    # the fields describe_point reads, and the seed run_link draws from
+    assert (sys_cfg.variant, pa_cfg.ibo, sys_cfg.seed) == ("sys1", 1.0, cfg.seed)
+    assert np.isclose((pa_cfg.bpf.cutoff_high - pa_cfg.bpf.cutoff_low) / sys_cfg.b, 1.1)
+    assert (sys_cfg.n_symbols, sys_cfg.analog_sps) == (10000, 128)
+    assert cfg.channel_config() == ChannelConfig(alpha=1.0, sinr_db=10.0,
+                                                 interference_ratio=2.0)
 
 
 def test_metrics_tuple_accepts_link_metrics():

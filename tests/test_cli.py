@@ -266,6 +266,14 @@ class TestBadInput:
         assert "configuration error" in err and "Nyquist" in err
         assert not (tmp_path / "o").exists()
 
+    def test_carrier_inside_signal_band_exits_1(self, tmp_path, capsys):
+        # Carrier 0.5 B below the signal bandwidth (1 + roll-off) B = 1.5 B.
+        cfg = _write_cfg(tmp_path, FAST_CFG + "system.fc_multiple = 0.5\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "carrier" in err
+        assert not (tmp_path / "o").exists()
+
     def test_bandpass_above_nyquist_is_a_failed_sweep_point(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, FAST_CFG + "system.fc_multiple = 50\ngrid.ibo = 0.1\n"
                          + "grid.bbpf = 0.9, 30\ngrid.systems = sys2\n")

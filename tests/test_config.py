@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def test_parse_overrides():
     assert cfg.seed == 9
     assert cfg.out_dir == "alt_results"
     assert cfg.variant == "sys3"
-    assert cfg.n_symbols == 5000
+    assert cfg.system_config().n_symbols == 5000
     assert cfg.ibo == 0.5
     assert cfg.bbpf_over_b == 1.2
     assert cfg.channel_config().sinr_db == 6.0
@@ -128,3 +130,14 @@ def test_range_with_too_many_values_rejected():
         parse_config_text("grid.bbpf = 0.4:1e-12:2.0\n")
     # the largest accepted range stays well inside the bound
     assert len(parse_config_text("grid.ibo = 1:1:9999\n").grid_ibo) == 9999
+
+
+def test_readme_example_parses_to_the_owners_defaults():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg, default = parse_config_text(example), ExperimentConfig()
+    for build in ("system_config", "pa_config", "channel_config", "grid_spec"):
+        assert getattr(cfg, build)() == getattr(default, build)(), build

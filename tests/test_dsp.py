@@ -289,7 +289,7 @@ class TestAlign:
     def test_rotation_only(self):
         rng = np.random.default_rng(4)
         tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=200) / np.sqrt(2)
-        lag, c = align(tx, 1j * tx, max_lag=4)
+        lag, c = align(tx, 1j * tx, stride=1, max_lag=4)
         assert lag == 0
         assert np.isclose(c, -1j, atol=1e-12)
 

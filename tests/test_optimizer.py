@@ -1,6 +1,10 @@
+import os
+import warnings
+
 import pytest
 
 from onebitlink.channel import ChannelConfig
+from onebitlink.dsp import AlignmentAmbiguityWarning
 from onebitlink.errors import ConfigurationError
 from onebitlink.metrics import LinkMetrics
 from onebitlink.optimizer import GridSpec, _point_seed, grid_search
@@ -13,6 +17,11 @@ def _metrics(fom_norm, mi=1.5):
                        eta_p=mi, eta_b=mi, fom=mi * mi, fom_normalized=fom_norm)
 
 
+def _warning_runner(system, ibo, bbpf, seed):
+    warnings.warn(f"point {ibo} {bbpf}", AlignmentAmbiguityWarning)
+    return _metrics(1.0)
+
+
 def _configs(n_symbols=1500):
     sys_cfg = SystemConfig(n_symbols=n_symbols)
     return sys_cfg, PaConfig(bpf=bpf_spec_for(0.9, sys_cfg, 4)), ChannelConfig()
@@ -20,11 +29,11 @@ def _configs(n_symbols=1500):
 
 class TestGridSpec:
     @pytest.mark.parametrize("kwargs", [
-        dict(ibo_values=(), bbpf_values=(0.9,)),
-        dict(ibo_values=(0.1,), bbpf_values=()),
-        dict(ibo_values=(0.1, 0.1), bbpf_values=(0.9,)),
-        dict(ibo_values=(-0.1, 1.0), bbpf_values=(0.9,)),
-        dict(ibo_values=(0.1,), bbpf_values=(1.0, 0.5)),
+        dict(ibo_values=(), bbpf_values=(0.9,), systems=("sys2",)),
+        dict(ibo_values=(0.1,), bbpf_values=(), systems=("sys2",)),
+        dict(ibo_values=(0.1, 0.1), bbpf_values=(0.9,), systems=("sys2",)),
+        dict(ibo_values=(-0.1, 1.0), bbpf_values=(0.9,), systems=("sys2",)),
+        dict(ibo_values=(0.1,), bbpf_values=(1.0, 0.5), systems=("sys2",)),
         dict(ibo_values=(0.1,), bbpf_values=(0.9,), systems=()),
         dict(ibo_values=(0.1,), bbpf_values=(0.9,), systems=("sysX",)),
         dict(ibo_values=(0.1,), bbpf_values=(0.9,), systems=("sys2", "sys2")),
@@ -56,7 +65,7 @@ class TestGridSearchWithRunner:
         assert len(set(calls)) == 8
 
     def test_tie_breaks_toward_smaller_ibo_then_width(self):
-        grid = GridSpec((0.1, 1.0), (0.8, 0.9))
+        grid = GridSpec((0.1, 1.0), (0.8, 0.9), ("sys2",))
 
         def runner(system, ibo, bbpf, seed):
             return _metrics(2.0)  # every point ties
@@ -65,7 +74,7 @@ class TestGridSearchWithRunner:
         assert res.argmax["sys2"] == (0.1, 0.8, 2.0)
 
     def test_failures_recorded_and_skipped(self):
-        grid = GridSpec((0.1, 1.0), (0.9,))
+        grid = GridSpec((0.1, 1.0), (0.9,), ("sys2",))
 
         def runner(system, ibo, bbpf, seed):
             if ibo == 0.1:
@@ -79,7 +88,7 @@ class TestGridSearchWithRunner:
         assert res.argmax["sys2"] == (1.0, 0.9, 1.3)
 
     def test_all_failed_raises(self):
-        grid = GridSpec((0.1,), (0.9,))
+        grid = GridSpec((0.1,), (0.9,), ("sys2",))
 
         def runner(system, ibo, bbpf, seed):
             raise RuntimeError("nope")
@@ -88,7 +97,7 @@ class TestGridSearchWithRunner:
             grid_search(grid, *_configs(), runner=runner)
 
     def test_argmax_is_true_maximum(self):
-        grid = GridSpec((0.1, 1.0), (0.8, 0.9, 1.0))
+        grid = GridSpec((0.1, 1.0), (0.8, 0.9, 1.0), ("sys2",))
         table = {(0.1, 0.8): 0.3, (0.1, 0.9): 0.7, (0.1, 1.0): 0.2,
                  (1.0, 0.8): 0.5, (1.0, 0.9): 0.6, (1.0, 1.0): 0.1}
 
@@ -108,12 +117,28 @@ class TestGridSearchWithRunner:
 class TestRealEvaluation:
     def test_parallel_matches_serial(self):
         # identical per-point seeds make worker scheduling invisible
-        grid = GridSpec((0.1,), (0.8, 0.9))
+        grid = GridSpec((0.1,), (0.8, 0.9), ("sys2",))
         args = _configs()
         serial = grid_search(grid, *args, jobs=1)
         parallel = grid_search(grid, *args, jobs=2)
         for a, b in zip(serial.points, parallel.points):
             assert a.metrics == b.metrics
+
+    def test_point_warnings_reach_the_caller_in_grid_order(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        grid = GridSpec((0.1, 1.0), (0.8, 0.9), ("sys2",))
+        expected = [f"point {i} {b}" for i in (0.1, 1.0) for b in (0.8, 0.9)]
+
+        def shown(jobs, action):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action, AlignmentAmbiguityWarning)
+                res = grid_search(grid, *_configs(), jobs=jobs, runner=_warning_runner)
+            assert res.workers == jobs
+            return [str(w.message) for w in caught if w.category is AlignmentAmbiguityWarning]
+
+        for jobs in (1, 2):
+            assert shown(jobs, "always") == expected
+            assert shown(jobs, "ignore") == []  # the caller's own filter still hides them
 
     def test_seed_pairing_across_systems(self):
         grid = GridSpec((0.1,), (0.9,), systems=("sys1", "sys2"))
@@ -134,13 +159,13 @@ class TestJobs:
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ConfigurationError, match="jobs"):
-            grid_search(GridSpec((0.1,), (0.9,)), *_configs(),
+            grid_search(GridSpec((0.1,), (0.9,), ("sys2",)), *_configs(),
                         jobs=jobs, runner=lambda *task: _metrics(1.0))
 
     @pytest.mark.parametrize("cpus,n_bbpf,expected", [(4, 2, 2), (3, 8, 3), (16, 5, 5)])
     def test_workers_capped_at_points_and_cores(self, fake_pool, cpus, n_bbpf, expected):
         started = fake_pool(cpus)
-        grid = GridSpec((0.1,), tuple(0.5 + 0.1 * k for k in range(n_bbpf)))
+        grid = GridSpec((0.1,), tuple(0.5 + 0.1 * k for k in range(n_bbpf)), ("sys2",))
         res = grid_search(grid, *_configs(), jobs=64, runner=lambda *task: _metrics(1.0))
         assert started == [expected]
         assert res.workers == expected
@@ -148,7 +173,7 @@ class TestJobs:
 
     def test_single_core_runs_serially(self, fake_pool):
         started = fake_pool(1)
-        res = grid_search(GridSpec((0.1, 1.0), (0.9,)), *_configs(), jobs=64,
+        res = grid_search(GridSpec((0.1, 1.0), (0.9,), ("sys2",)), *_configs(), jobs=64,
                           runner=lambda *task: _metrics(1.0))
         assert started == []
         assert res.workers == 1

@@ -47,15 +47,15 @@ def test_pa_power_of_sinusoid():
     # mean rectified sinusoid is (2/pi) A, so p_pa = v_sat * (2/pi) A
     n = 4096 * 8
     i_l = 0.3 * np.cos(2 * np.pi * np.arange(n) / 4096.0)
-    assert np.isclose(pa_power(i_l, v_sat=0.5), 0.5 * TWO_OVER_PI * 0.3, rtol=1e-5)
+    assert np.isclose(pa_power(i_l, v_sat=0.5, window=slice(None)), 0.5 * TWO_OVER_PI * 0.3, rtol=1e-5)
 
 
 def test_transmit_power_mean_product():
     y = np.array([1.0, -1.0, 2.0])
     i = y / 2.0
-    assert np.isclose(transmit_power(i, y), np.mean(i * y))
+    assert np.isclose(transmit_power(i, y, slice(None)), np.mean(i * y))
     with pytest.raises(ValueError):
-        transmit_power(np.ones(3), np.ones(4))
+        transmit_power(np.ones(3), np.ones(4), slice(None))
 
 
 def test_clipped_sine_chain_respects_harmonic_bound():

@@ -65,6 +65,7 @@ class TestSystemConfig:
         # measurement window shorter than the 4096-sample PSD segment
         dict(n_symbols=40, rrc=RrcSpec(span=8)),   # (40 - 16) * 128 = 3072
         dict(n_symbols=65, analog_sps=64),         # (65 - 32) * 64 = 2112
+        dict(fc_multiple=1.5),                     # carrier inside the signal band
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
