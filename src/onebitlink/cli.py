@@ -40,6 +40,14 @@ def _write_lines(path, lines):
             fh.write(line + "\n")
 
 
+def _make_out_dir(path):
+    """Create the output directory before any work; failing that is a configuration error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _load_experiment(args):
     cfg = config_mod.load_config(args.config) if args.config else config_mod.ExperimentConfig()
     if args.system:
@@ -55,8 +63,9 @@ def _load_experiment(args):
 
 def cmd_run(args):
     cfg = _load_experiment(args)
-    sys_cfg = cfg.system_config()
-    metrics = pipeline.run_link(sys_cfg, cfg.pa_config(), cfg.channel_config())
+    sys_cfg, pa_cfg, ch_cfg = cfg.system_config(), cfg.pa_config(), cfg.channel_config()
+    _make_out_dir(cfg.out_dir)
+    metrics = pipeline.run_link(sys_cfg, pa_cfg, ch_cfg)
     bias = plugin_mi_bias(sys_cfg.mi_bins, sys_cfg.n_symbols - 2 * sys_cfg.rrc.span)
     print(f"system={cfg.variant} ibo={_fmt(cfg.ibo)} b_bpf={_fmt(cfg.bbpf_over_b)}B "
           f"seed={cfg.seed}")
@@ -65,7 +74,6 @@ def cmd_run(args):
     print(f"  p_pa={metrics.p_pa:.6g}  p_t={metrics.p_t:.6g}  p_pa/p_t={metrics.p_pa / metrics.p_t:.4f}")
     print(f"  eta_p={metrics.eta_p:.6g}  eta_b={metrics.eta_b:.6g}  "
           f"fom_norm={metrics.fom_normalized:.6g}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "run.csv")
     _write_lines(out_path, [CSV_HEADER,
                             _metrics_row(cfg.variant, cfg.ibo, cfg.bbpf_over_b, metrics)])
@@ -109,9 +117,9 @@ def cmd_sweep(args):
     cfg = _load_experiment(args)
     grid = cfg.grid_spec()
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    result = optimizer.grid_search(grid, cfg.system_config(), cfg.pa_config(),
-                                   cfg.channel_config(), jobs=jobs)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    sys_cfg, pa_cfg, ch_cfg = cfg.system_config(), cfg.pa_config(), cfg.channel_config()
+    _make_out_dir(cfg.out_dir)
+    result = optimizer.grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=jobs)
 
     rows = [CSV_HEADER]
     for p in result.points:
@@ -137,9 +145,9 @@ def cmd_sweep(args):
 
 def cmd_amam(args):
     out_dir = args.out or config_mod.ExperimentConfig.out_dir
+    _make_out_dir(out_dir)
     amplitudes = np.logspace(np.log10(0.01), np.log10(10.0), 200)
     curve = pa.am_am_curve(1.0, amplitudes)
-    os.makedirs(out_dir, exist_ok=True)
     lines = ["a_over_vsat,f_over_vsat"]
     lines += [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(amplitudes, curve)]
     path = os.path.join(out_dir, "fig3.csv")

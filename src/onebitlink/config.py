@@ -1,8 +1,9 @@
 """Experiment configuration: flat key-value files plus defaults.
 
 Grammar: one `key = value` pair per line; blank lines and lines starting
-with '#' are ignored. Keys are namespaced with section prefixes
-(system.*, pa.*, channel.*, grid.*); `seed` and `out` are experiment-level.
+with '#' are ignored, and a value must not contain '#'. Keys are namespaced
+with section prefixes (system.*, pa.*, channel.*, grid.*); `seed` and `out`
+are experiment-level.
 Unknown keys are rejected. Missing keys take the defaults of the dataclass
 that owns the setting, which reproduce the headline operating point (sys2,
 ibo 0.1, b_bpf 0.9B, 10 dB SINR, 10^4 symbols at 128 samples per symbol).
@@ -143,6 +144,9 @@ def parse_config_text(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if "#" in value:
+            raise ConfigurationError(
+                f"line {lineno}: a comment must be on its own line, got {raw!r}")
         if key not in _SCHEMA:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         owner, name, conv = _SCHEMA[key]

@@ -126,14 +126,15 @@ def design_butterworth(spec, fs):
 
 
 def fir_filter(x, taps):
-    """Full linear convolution of `x` with `taps` (length len(x)+len(taps)-1).
+    """Convolve `x` with linear-phase `taps`, delay-compensated: len(x) samples.
 
-    Callers compensate the linear-phase delay of (len(taps)-1)//2 samples.
+    Output n is full-convolution sample n + (len(taps)-1)//2, the taps' group delay.
     """
     taps = np.asarray(taps)
     if taps.size == 0:
         raise ValueError("empty tap vector")
-    return np.convolve(np.asarray(x), taps)
+    delay = (len(taps) - 1) // 2
+    return np.convolve(np.asarray(x), taps)[delay:delay + len(x)]
 
 
 def iir_filter(x, sos):
@@ -308,15 +309,13 @@ def downconvert(x_p, fc, fs):
 def paired_at_lag(tx, rx, lag, stride):
     """Pair tx[n] with rx[lag + stride*n] over all valid n, for lag >= 0.
 
-    Returns the two equal-length arrays used for correlation, scaling, and
-    mutual-information estimation at a candidate lag.
+    Returns the two equal-length arrays (views, no copies) used for
+    correlation, scaling, and mutual-information estimation at a candidate lag.
     """
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
-    tx = np.asarray(tx)
-    rx = np.asarray(rx)
-    n = max(0, min(len(tx), (len(rx) - 1 - lag) // stride + 1))
-    return tx[:n], rx[lag + stride * np.arange(n)]
+    r = np.asarray(rx)[lag::stride][:len(tx)]
+    return np.asarray(tx)[:len(r)], r
 
 
 def align(tx, rx_soft, max_lag, stride):

@@ -2,7 +2,7 @@
 
 The amplifier is a memoryless hard clipper on the passband waveform followed
 by a bandpass reconstruction filter. Battery draw is computed from the load
-current as v_sat * mean|i_L|, transmit power as mean(i_L * y_p).
+current i_L = y_p / r_load as v_sat * mean|i_L|, transmit power as mean(i_L * y_p).
 """
 
 from dataclasses import dataclass
@@ -52,18 +52,15 @@ def bandpass_reconstruct(v_t, sos):
     return iir_filter(v_t, sos)
 
 
-def pa_power(i_l, v_sat, window):
-    """Battery draw p_pa = v_sat * mean|i_L| over the measurement window."""
-    return v_sat * np.mean(np.abs(np.asarray(i_l)[window]))
+def pa_power(y_p, v_sat, r_load, window):
+    """Battery draw p_pa = v_sat * mean|i_L|, i_L = y_p / r_load, over the measurement window."""
+    return v_sat * np.mean(np.abs(np.asarray(y_p)[window])) / r_load
 
 
-def transmit_power(i_l, y_p, window):
-    """Average delivered power p_t = mean(i_L * y_p) over the measurement window."""
-    i_l = np.asarray(i_l)
-    y_p = np.asarray(y_p)
-    if len(i_l) != len(y_p):
-        raise ValueError(f"length mismatch: i_l has {len(i_l)} samples, y_p has {len(y_p)}")
-    return np.mean(i_l[window] * y_p[window])
+def transmit_power(y_p, r_load, window):
+    """Average delivered power p_t = mean(i_L * y_p) = mean(y_p^2) / r_load over the window."""
+    y = np.asarray(y_p)[window]
+    return np.mean(y * y) / r_load
 
 
 def am_am_curve(v_sat, amplitudes):

@@ -129,7 +129,7 @@ def _transmit(dac_in, sys_cfg, pa_cfg, window):
 
     Returns the transmit lowpass (the receiver reuses it), the amplifier
     output y_p and the powers p_pa and p_t. Each frame-length intermediate is
-    rebound as soon as its successor exists, so it is freed after its last use.
+    rebound or deleted once its successor exists, so it is freed after its last use.
     """
     fs = sys_cfg.fs()
     with _stage("dac"):
@@ -140,29 +140,15 @@ def _transmit(dac_in, sys_cfg, pa_cfg, window):
                                       sys_cfg.fc(), fs)
 
     with _stage("pa"):
-        wave = wave / np.sqrt(np.mean(np.square(wave[window])))  # x_p, unit RMS
+        wave /= np.sqrt(np.mean(np.square(wave[window])))  # x_p, unit RMS
         v_sat = pa_cfg.ibo  # so the saturation voltage is the back-off itself
         wave = pa_mod.clip(wave, v_sat)  # v_t
         bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
         y_p = pa_mod.bandpass_reconstruct(wave, bpf_sos)
-        i_l = y_p / pa_cfg.r_load
-        p_pa = pa_mod.pa_power(i_l, v_sat, window)
-        p_t = pa_mod.transmit_power(i_l, y_p, window)
+        del wave
+        p_pa = pa_mod.pa_power(y_p, v_sat, pa_cfg.r_load, window)
+        p_t = pa_mod.transmit_power(y_p, pa_cfg.r_load, window)
     return lpf_sos, y_p, p_pa, p_t
-
-
-def _receive(y_rx, lpf_sos, taps, delay, sys_cfg):
-    """The rx stage: received passband waveform to matched-filter outputs at adc_sps.
-
-    The mixer and the lowpass run as one block-rate kernel, so no frame-length
-    baseband is built.
-    """
-    with _stage("rx"):
-        rx = dsp.downconvert_decimated_iir(y_rx, lpf_sos, sys_cfg.analog_sps // sys_cfg.adc_sps,
-                                           sys_cfg.fc(), sys_cfg.fs())
-        if sys_cfg.one_bit:
-            rx = quantizers.one_bit_quantize(rx)
-        return dsp.fir_filter(rx, taps)[delay:delay + len(rx)]
 
 
 def run_link(sys_cfg, pa_cfg, ch_cfg):
@@ -183,10 +169,8 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.
         taps = dsp.design_rrc(sys_cfg.rrc)
-        delay = (len(taps) - 1) // 2  # group delay of the linear-phase FIR
         if sys_cfg.shaped:
-            up = dsp.upsample_zero_insert(tx, sys_cfg.dac_sps)
-            dac_in = dsp.fir_filter(up, taps)[delay:delay + len(up)]
+            dac_in = dsp.fir_filter(dsp.upsample_zero_insert(tx, sys_cfg.dac_sps), taps)
         else:
             dac_in = tx
 
@@ -204,7 +188,14 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         y_rx = channel_mod.add_awgn(y_p, sigma_n2 * pa_cfg.r_load / ch_cfg.alpha,
                                     sys_cfg.b, fs, noise_rng)
 
-    rx = _receive(y_rx, lpf_sos, taps, delay, sys_cfg)
+    with _stage("rx"):
+        # Mixer and lowpass in one block-rate kernel: no frame-length baseband.
+        rx = dsp.downconvert_decimated_iir(y_rx, lpf_sos, sys_cfg.analog_sps // sys_cfg.adc_sps,
+                                           sys_cfg.fc(), fs)
+        del y_rx  # y_p stays for the PSD
+        if sys_cfg.one_bit:
+            rx = quantizers.one_bit_quantize(rx)
+        rx = dsp.fir_filter(rx, taps)  # matched filter, at adc_sps
 
     with _stage("align"):
         # Lags up to the span-many symbols that the keep slice trims anyway.

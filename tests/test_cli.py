@@ -257,6 +257,30 @@ class TestBadInput:
         assert "configuration error" in err and "output directory must not be empty" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty_out.cfg"]
 
+    def test_comment_after_value_exits_1_without_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_cfg(tmp_path, FAST_CFG + "out = res  # note\n")
+        assert cli.main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "comment must be on its own line" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    # A --out that cannot be a directory exits 1 before any point is evaluated.
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--jobs", "1"], ["amam"]],
+                             ids=["run", "sweep", "amam"])
+    def test_output_path_naming_a_file_exits_1_before_any_work(self, tmp_path, monkeypatch,
+                                                               capsys, argv):
+        calls = []
+        monkeypatch.setattr(pipeline, "run_link", lambda *a, **k: calls.append(a))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        cfg = _write_cfg(tmp_path, SWEEP_CFG)
+        config = [] if argv[0] == "amam" else ["--config", cfg]
+        assert cli.main(argv + config + ["--out", str(taken)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert calls == []
+        assert taken.read_text() == "not a directory\n"
+
     def test_bandpass_above_nyquist_exits_1(self, tmp_path, capsys):
         # Carrier 50 B at 128 samples per symbol: a 30 B bandpass ends at 65 B > 64 B.
         cfg = _write_cfg(tmp_path, FAST_CFG + "system.fc_multiple = 50\n")

@@ -64,6 +64,13 @@ def test_bad_value_rejected():
         parse_config_text("system.n_symbols = many\n")
 
 
+@pytest.mark.parametrize("line", ["out = res  # note", "seed = 3 #", "pa.ibo = #0.1"])
+def test_comment_after_value_rejected_with_line_number(line):
+    with pytest.raises(ConfigurationError,
+                       match="line 2: a comment must be on its own line"):
+        parse_config_text(f"# a comment line is fine\n{line}\n")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ConfigurationError):
         parse_config_text("seed 1\n")

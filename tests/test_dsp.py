@@ -99,12 +99,20 @@ class TestButterworth:
 
 
 class TestFilters:
-    def test_fir_filter_is_full_convolution(self):
+    def test_fir_filter_is_delay_compensated(self):
+        # For odd taps and len(x) >= len(taps) this is numpy's "same"
+        # convolution bit for bit.
+        rng = np.random.default_rng(5)
+        for n_x, n_taps in [(3, 3), (200, 65), (1000, 129)]:
+            x = rng.standard_normal(n_x) + 1j * rng.standard_normal(n_x)
+            taps = rng.standard_normal(n_taps)
+            same = np.convolve(x, taps, mode="same")
+            assert np.array_equal(fir_filter(x, taps).view(np.uint64), same.view(np.uint64))
+        # A shorter x still gets len(x) samples, from the delay (4 for 9 taps) on.
         x = np.zeros(5)
         x[0] = 1.0
-        y = fir_filter(x, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(y, [0.5, 0.5, 0, 0, 0, 0])
-        assert len(y) == len(x) + 2 - 1
+        taps = np.arange(1.0, 10.0)
+        np.testing.assert_array_equal(fir_filter(x, taps), taps[4:9])
 
     def test_fir_filter_empty_taps(self):
         with pytest.raises(ValueError):

@@ -46,16 +46,27 @@ def test_first_harmonic_saturates_at_bound():
 def test_pa_power_of_sinusoid():
     # mean rectified sinusoid is (2/pi) A, so p_pa = v_sat * (2/pi) A
     n = 4096 * 8
-    i_l = 0.3 * np.cos(2 * np.pi * np.arange(n) / 4096.0)
-    assert np.isclose(pa_power(i_l, v_sat=0.5, window=slice(None)), 0.5 * TWO_OVER_PI * 0.3, rtol=1e-5)
+    y_p = 0.3 * np.cos(2 * np.pi * np.arange(n) / 4096.0)
+    assert np.isclose(pa_power(y_p, v_sat=0.5, r_load=1.0, window=slice(None)),
+                      0.5 * TWO_OVER_PI * 0.3, rtol=1e-5)
 
 
 def test_transmit_power_mean_product():
     y = np.array([1.0, -1.0, 2.0])
-    i = y / 2.0
-    assert np.isclose(transmit_power(i, y, slice(None)), np.mean(i * y))
-    with pytest.raises(ValueError):
-        transmit_power(np.ones(3), np.ones(4), slice(None))
+    i = y / 2.0  # load current into 2 ohms
+    assert np.isclose(transmit_power(y, 2.0, slice(None)), np.mean(i * y))
+
+
+def test_powers_are_unit_load_values_over_r_load():
+    rng = np.random.default_rng(6)
+    y = rng.standard_normal(5000)
+    window = slice(100, 4900)
+    p_pa, p_t = pa_power(y, 0.3, 1.0, window), transmit_power(y, 1.0, window)
+    assert p_pa == 0.3 * np.mean(np.abs(y[window]))
+    assert p_t == np.mean(y[window] * y[window])
+    for r_load in (0.5, 50.0):
+        assert np.isclose(pa_power(y, 0.3, r_load, window), p_pa / r_load, rtol=1e-15)
+        assert np.isclose(transmit_power(y, r_load, window), p_t / r_load, rtol=1e-15)
 
 
 def test_clipped_sine_chain_respects_harmonic_bound():
@@ -69,10 +80,9 @@ def test_clipped_sine_chain_respects_harmonic_bound():
                                              cutoff_low=fc - 0.45,
                                              cutoff_high=fc + 0.45), fs=fs)
     y_p = bandpass_reconstruct(v_t, sos)
-    i_l = y_p / 1.0
     settle = slice(2048, n)
-    p_pa = pa_power(i_l, v_sat, settle)
-    p_t = transmit_power(i_l, y_p, settle)
+    p_pa = pa_power(y_p, v_sat, 1.0, settle)
+    p_t = transmit_power(y_p, 1.0, settle)
     assert p_t <= HARMONIC_BOUND * p_pa * (1 + 1e-9)
     # hard-driven tone: fundamental amplitude approaches (4/pi) v_sat
     amp = np.sqrt(2.0 * p_t)

@@ -152,19 +152,25 @@ class TestRunLink:
                 assert np.isclose(m.p_t, ref.p_t, rtol=1e-12, atol=0), alpha
 
     def test_peak_memory_stays_near_three_frames(self):
-        # Each frame-length buffer is freed after its last stage, so about two
-        # and a half complex frames are live at the peak; keeping the dac, pa,
-        # channel and rx buffers until the PSD runs would take it past six.
+        # Each frame-length buffer is freed after its last stage. At the paper
+        # frame the peak is in the rx stage: y_p (kept for the PSD), y_rx and
+        # the receive kernel's block sums, about 1.3 complex frames. A load
+        # current frame i_L next to a clipped drive kept past the bandpass
+        # takes it past two.
+        # At 2000 symbols fixed-size buffers weigh more, hence the looser bound.
         # Nothing is cached across runs, so a first run is traced as it is.
-        sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=2000)
-        tracemalloc.start()
-        try:
-            run_link(sys_cfg, pa_cfg, ch_cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        complex_frame = 16 * sys_cfg.n_symbols * sys_cfg.analog_sps
-        assert peak <= 4.5 * complex_frame, f"peak {peak / complex_frame:.2f} complex frames"
+        cases = [("sys2", 2000, 4.5)] + [(v, 10000, 1.6) for v in VARIANTS]
+        for variant, n_symbols, bound in cases:
+            sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=n_symbols)
+            tracemalloc.start()
+            try:
+                run_link(sys_cfg, pa_cfg, ch_cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            complex_frame = 16 * sys_cfg.n_symbols * sys_cfg.analog_sps
+            assert peak <= bound * complex_frame, (
+                f"{variant} at {n_symbols} symbols: peak {peak / complex_frame:.2f} complex frames")
 
     def test_stage_error_names_the_stage(self):
         sys_cfg = SystemConfig(n_symbols=2000)
