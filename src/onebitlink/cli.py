@@ -185,7 +185,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", parents=[link],
                              help="evaluate the configured (ibo, b_bpf) grid")
-    p_sweep.add_argument("--jobs", type=int,
+    p_sweep.add_argument("--jobs", type=config_mod.worker_count,
                          help="worker processes, at most one per point and core "
                               "(default: all cores)")
     p_sweep.set_defaults(func=cmd_sweep)

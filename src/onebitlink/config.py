@@ -4,13 +4,15 @@ Grammar: one `key = value` pair per line; blank lines and lines starting
 with '#' are ignored, and a value must not contain '#'. Keys are namespaced
 with section prefixes (system.*, pa.*, channel.*, grid.*); `seed` and `out`
 are experiment-level.
-Unknown keys are rejected. Missing keys take the defaults of the dataclass
-that owns the setting, which reproduce the headline operating point (sys2,
-ibo 0.1, b_bpf 0.9B, 10 dB SINR, 10^4 symbols at 128 samples per symbol).
+Unknown keys and keys set twice are rejected. Missing keys take the defaults
+of the dataclass that owns the setting, which reproduce the headline operating
+point (sys2, ibo 0.1, b_bpf 0.9B, 10 dB SINR, 10^4 symbols at 128 samples per
+symbol).
 
 List values are comma-separated (`grid.ibo = 0.0316,0.1,1,10`); the range
 form `lo:step:hi` (inclusive, at most MAX_RANGE_VALUES values) is also
-accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite.
+accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite, and a
+sweep grid holds at most MAX_RANGE_VALUES points (systems x ibo x b_bpf).
 """
 
 import argparse
@@ -23,11 +25,13 @@ from . import pa as pa_mod
 from .errors import ConfigurationError
 
 
+# The most values one range gives, and the most points one sweep grid holds.
 MAX_RANGE_VALUES = 10_000
 
 
-# finite_float and output_dir double as argparse types, and argparse prints an
-# ArgumentTypeError's message as is: a flag and a key report the same reason.
+# finite_float, output_dir and worker_count double as argparse types, and
+# argparse prints an ArgumentTypeError's message (a ConfigurationError is one)
+# as is: a flag and a key report the same reason.
 def finite_float(text):
     """float(text), rejecting nan and +-inf."""
     try:
@@ -44,6 +48,17 @@ def output_dir(text):
     if not text:
         raise argparse.ArgumentTypeError("output directory must not be empty")
     return text
+
+
+def worker_count(value):
+    """int(value) worker processes, at least 1."""
+    try:
+        jobs = int(value)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _float_list(text):
@@ -134,7 +149,7 @@ class ExperimentConfig:
 
 def parse_config_text(text):
     """Parse key-value text into an ExperimentConfig; unset keys keep their defaults."""
-    fields, owned = {}, {}
+    fields, owned, set_on = {}, {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -149,6 +164,10 @@ def parse_config_text(text):
                 f"line {lineno}: a comment must be on its own line, got {raw!r}")
         if key not in _SCHEMA:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigurationError(
+                f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         owner, name, conv = _SCHEMA[key]
         try:
             value = conv(value)

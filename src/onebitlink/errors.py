@@ -1,8 +1,13 @@
 """Exception types shared across the simulator."""
 
+import argparse
 
-class ConfigurationError(ValueError):
-    """A user-supplied setting is missing, unknown, or out of range."""
+
+class ConfigurationError(ValueError, argparse.ArgumentTypeError):
+    """A user-supplied setting is missing, unknown, or out of range.
+
+    Also an ArgumentTypeError, so argparse reports a flag type's reason as is.
+    """
 
 
 class StageError(RuntimeError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import pipeline
+from . import config, pipeline
 from .errors import ConfigurationError
 
 
@@ -31,6 +31,10 @@ class GridSpec:
                 raise ConfigurationError(f"{name} grid must be strictly increasing")
         if not self.systems:
             raise ConfigurationError("empty system list")
+        n_points = len(self.systems) * len(self.ibo_values) * len(self.bbpf_values)
+        if n_points > config.MAX_RANGE_VALUES:
+            raise ConfigurationError(f"grid has {n_points} points (systems x ibo x b_bpf), "
+                                     f"more than {config.MAX_RANGE_VALUES}")
         if len(set(self.systems)) != len(self.systems):
             raise ConfigurationError(f"repeated system variants in {list(self.systems)}")
         unknown = set(self.systems) - set(pipeline.VARIANTS)
@@ -61,12 +65,6 @@ class GridResult:
         return [p for p in self.points if p.metrics is None]
 
 
-def _point_seed(base_seed, i_ibo, j_bbpf, n_bbpf):
-    # Flat enumeration of the (ibo, b_bpf) grid; the variant is deliberately
-    # absent so cross-system comparisons at one grid point are paired.
-    return base_seed + i_ibo * n_bbpf + j_bbpf
-
-
 def _run_point(sys_cfg, pa_cfg, ch_cfg, system, ibo, bbpf, seed):
     cfg = replace(sys_cfg, variant=system, seed=seed)
     cfg_pa = replace(pa_cfg, ibo=ibo,
@@ -94,25 +92,25 @@ def _eval_point(runner, task):
 def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     """Evaluate every grid point and return a GridResult.
 
-    Each point is runner(system, ibo, b_bpf, seed); the default runner builds
-    the point's configs and calls pipeline.run_link; a substitute runner
-    must be picklable when jobs > 1. Points run concurrently when jobs > 1, in a process pool of
-    min(jobs, points, cpus) workers; results are always collected into
-    (system, ibo, b_bpf) order, so the output is independent of scheduling.
+    Each point is runner(system, ibo, b_bpf, sys_cfg.seed): one seed for the
+    whole sweep, so pipeline.run_link at a point's (system, ibo, b_bpf, seed)
+    reproduces it. The default runner builds the point's configs and calls
+    pipeline.run_link; a substitute runner must be picklable when jobs > 1.
+    Points run concurrently when jobs > 1, in a process pool of
+    min(jobs, points, cpus) workers; tasks are built in (system, ibo, b_bpf)
+    order and both paths keep it, so the output is independent of scheduling.
     The warnings each point raised are re-emitted here, in the same order.
     Per-point failures are recorded, not fatal; the argmax per system is
     taken over its successful points, with exact FOM ties broken toward
     smaller ibo, then smaller b_bpf. A system with no successful point raises.
     """
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    jobs = config.worker_count(jobs)
     if runner is None:
         runner = functools.partial(_run_point, sys_cfg, pa_cfg, ch_cfg)
-    n_bbpf = len(grid.bbpf_values)
-    tasks = [(system, float(ibo), float(bbpf), _point_seed(sys_cfg.seed, i, j, n_bbpf))
+    tasks = [(system, float(ibo), float(bbpf), sys_cfg.seed)
              for system in sorted(grid.systems)
-             for i, ibo in enumerate(grid.ibo_values)
-             for j, bbpf in enumerate(grid.bbpf_values)]
+             for ibo in grid.ibo_values
+             for bbpf in grid.bbpf_values]
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     evaluate = functools.partial(_eval_point, runner)
@@ -122,19 +120,14 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(evaluate, tasks, chunksize=1))
 
-    points.sort(key=lambda p: (p.system, p.ibo, p.b_bpf))
     for p in points:
         for category, message, filename, lineno in p.warnings:
             warnings.warn_explicit(message, category, filename, lineno)
     argmax = {}
     for system in sorted(grid.systems):
-        best = None
-        for p in points:
-            if p.system != system or p.metrics is None:
-                continue
-            if best is None or p.metrics.fom_normalized > best.metrics.fom_normalized:
-                best = p
-        if best is None:
+        ok = [p for p in points if p.system == system and p.metrics is not None]
+        if not ok:
             raise RuntimeError(f"every grid point of {system} failed; no argmax exists")
+        best = max(ok, key=lambda p: p.metrics.fom_normalized)  # first of equal values
         argmax[system] = (best.ibo, best.b_bpf, best.metrics.fom_normalized)
     return GridResult(points=tuple(points), argmax=argmax, workers=workers)

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from onebitlink import cli, pipeline
+from onebitlink import cli, optimizer, pipeline
 
 FAST_CFG = "system.n_symbols = 2000\n"
 
@@ -125,6 +125,20 @@ class TestSweep:
         assert rc == 0
         assert "(4 ok, 0 failed) with jobs=2\n" in capsys.readouterr().out
 
+    def test_run_at_the_sweep_seed_reproduces_every_row(self, tmp_path):
+        cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 0.1, 1\ngrid.bbpf = 0.8, 1.2\n"
+                         + "grid.systems = sys1, sys2, sys3\n")
+        assert cli.main(["sweep", "--config", cfg, "--seed", "7", "--jobs", "1",
+                         "--out", str(tmp_path / "s")]) == 0
+        rows = (tmp_path / "s" / "grid.csv").read_text().splitlines()[1:]
+        assert len(rows) == 12
+        for k, row in enumerate(rows):
+            system, ibo, bbpf = row.split(",")[:3]
+            out = tmp_path / f"r{k}"
+            assert cli.main(["run", "--config", cfg, "--seed", "7", "--system", system,
+                             "--ibo", ibo, "--bbpf", bbpf, "--out", str(out)]) == 0
+            assert (out / "run.csv").read_text().splitlines()[1] == row
+
     def test_system_flag_restricts(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 0.9\n")
@@ -143,6 +157,13 @@ class TestBadInput:
         rc = cli.main(["sweep", "--config", cfg, "--jobs", jobs, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_key_set_twice_exits_1(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, FAST_CFG + "seed = 1\nseed = 5\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "'seed' is already set on line 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--ibo", "--bbpf"])
     def test_run_non_finite_flag_exits_1(self, tmp_path, capsys, flag):
@@ -308,6 +329,21 @@ class TestBadInput:
         assert len(failures) == 1
         assert failures[0].startswith("sys2,0.1,30,ConfigurationError:")
         assert "Nyquist" in failures[0]
+
+    def test_grid_above_the_point_bound_exits_1_before_any_work(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # grid_search builds the task list and starts the pool; neither may run
+        calls = []
+        monkeypatch.setattr(optimizer, "grid_search", lambda *a, **k: calls.append("grid"))
+        monkeypatch.setattr(pipeline, "run_link", lambda *a, **k: calls.append("link"))
+        # each range is within its own cap; 2 x 10000 x 1 points are not
+        cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 0.001:0.001:10\ngrid.bbpf = 0.9\n"
+                         + "grid.systems = sys1, sys2\n")
+        rc = cli.main(["sweep", "--config", cfg, "--jobs", "2", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "20000 points" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
     def test_oversized_range_exits_1_quickly(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "grid.bbpf = 0.4:1e-12:2.0\n")

@@ -59,6 +59,11 @@ def test_unknown_key_rejected_with_line_number():
         parse_config_text("seed = 1\nnot.a.key = 3\n")
 
 
+def test_key_set_twice_rejected_with_both_line_numbers():
+    with pytest.raises(ConfigurationError, match="line 3: key 'seed' is already set on line 1"):
+        parse_config_text("seed = 1\n# later\nseed = 5\n")
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigurationError, match="system.n_symbols"):
         parse_config_text("system.n_symbols = many\n")

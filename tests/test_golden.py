@@ -26,20 +26,25 @@ SWEEP_FILES = ("grid.csv", "failures.log", "fig4.csv", "fig5.csv", "fig6.csv",
 CASES = (("run", RUN_CFG, ("run.csv",)), ("sweep", SWEEP_CFG, SWEEP_FILES))
 
 
-def _produce(command, cfg_text, work, out):
+def _produce(command, cfg_text, work, out, jobs=1):
     cfg = os.path.join(work, f"{command}.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(cfg_text)
     argv = [command, "--config", cfg, "--out", out]
     if command == "sweep":
-        argv += ["--jobs", "1"]
+        argv += ["--jobs", str(jobs)]
     assert cli.main(argv) == 0
 
 
-@pytest.mark.parametrize("command,cfg_text,names", CASES, ids=[c[0] for c in CASES])
-def test_outputs_are_byte_identical(command, cfg_text, names, tmp_path):
+# The sweep also runs in a two-worker pool, whose output must match the
+# serial files: the pool path keeps the grid's order.
+@pytest.mark.parametrize("command,cfg_text,names,jobs",
+                         [case + (1,) for case in CASES] + [CASES[1] + (2,)],
+                         ids=[c[0] for c in CASES] + ["sweep-jobs2"])
+def test_outputs_are_byte_identical(command, cfg_text, names, jobs, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / command
-    _produce(command, cfg_text, str(tmp_path), str(out))
+    _produce(command, cfg_text, str(tmp_path), str(out), jobs)
     for name in names:
         with open(os.path.join(GOLDEN, command, name), "rb") as fh:
             expected = fh.read()

@@ -1,5 +1,6 @@
 import os
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,7 @@ from onebitlink.channel import ChannelConfig
 from onebitlink.dsp import AlignmentAmbiguityWarning
 from onebitlink.errors import ConfigurationError
 from onebitlink.metrics import LinkMetrics
-from onebitlink.optimizer import GridSpec, _point_seed, grid_search
+from onebitlink.optimizer import GridSpec, grid_search
 from onebitlink.pa import PaConfig
 from onebitlink.pipeline import SystemConfig, bpf_spec_for
 
@@ -42,11 +43,11 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError):
             GridSpec(**kwargs)
 
-
-def test_point_seed_covers_grid_without_collision():
-    seeds = {_point_seed(7, i, j, 5) for i in range(4) for j in range(5)}
-    assert len(seeds) == 20
-    assert min(seeds) == 7
+    def test_points_above_the_bound_rejected(self):
+        ibo = tuple(0.001 * k for k in range(1, 5001))
+        assert GridSpec(ibo, (0.9, 1.0), ("sys2",))  # 10000 points: at the bound
+        with pytest.raises(ConfigurationError, match="20000 points.*more than 10000"):
+            GridSpec(ibo, (0.9, 1.0), ("sys1", "sys2"))
 
 
 class TestGridSearchWithRunner:
@@ -141,18 +142,18 @@ class TestRealEvaluation:
             assert shown(jobs, "ignore") == []  # the caller's own filter still hides them
 
     def test_seed_pairing_across_systems(self):
-        grid = GridSpec((0.1,), (0.9,), systems=("sys1", "sys2"))
+        grid = GridSpec((0.1, 1.0), (0.8, 0.9), systems=("sys1", "sys2"))
         seen = []
 
         def runner(system, ibo, bbpf, seed):
-            seen.append((system, seed))
+            seen.append(seed)
             return _metrics(1.0)
 
-        grid_search(grid, *_configs(), runner=runner)
-        # same grid position, different variant: the derived seed matches, so
-        # the two variants consume the identical symbol and noise streams
-        seeds = {system: seed for system, seed in seen}
-        assert seeds["sys1"] == seeds["sys2"]
+        sys_cfg, pa_cfg, ch_cfg = _configs()
+        grid_search(grid, replace(sys_cfg, seed=7), pa_cfg, ch_cfg, runner=runner)
+        # every variant, back-off and width draws the sweep's own symbol and
+        # noise streams, so run_link at that seed reproduces any point
+        assert seen == [7] * 8
 
 
 class TestJobs:
