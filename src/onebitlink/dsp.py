@@ -212,7 +212,7 @@ def _look_ahead(sos, M):
 
 
 def _phasors(turn, n):
-    """exp(j 2 pi turn k) for k < n, in closed form like upconvert's carrier.
+    """exp(j 2 pi turn k) for k < n: the carrier phasors of upconvert and downconvert.
 
     The phase is reduced to a fraction of a turn before it is scaled by 2 pi,
     so it stays exact for large k instead of growing with the index.
@@ -222,8 +222,8 @@ def _phasors(turn, n):
     return np.cos(angle) + 1j * np.sin(angle)
 
 
-def held_iir_upconvert(u, hold, sos, fc, fs):
-    """upconvert(iir_filter(zoh_hold(u, hold), sos), fc, fs) without the held frame.
+def upconvert(u, sos, hold, fc, fs):
+    """Re{sosfilt(sos, repeat(u, hold))[n] exp(j 2 pi fc n / fs)} without the held frame.
 
     With H = F(z) / D(z^hold), the D sections run on u itself; the held,
     filtered baseband is then G(z) = F(z) (1 + z^-1 + ... + z^-(hold-1))
@@ -252,8 +252,8 @@ def held_iir_upconvert(u, hold, sos, fc, fs):
     return _matmul(lags.view(np.float64), taps).reshape(-1)
 
 
-def downconvert_decimated_iir(x_p, sos, step, fc, fs):
-    """iir_filter(downconvert(x_p, fc, fs), sos)[::step] without the full-rate output.
+def downconvert(x_p, sos, step, fc, fs):
+    """sosfilt(sos, 2 x_p[n] exp(-j 2 pi fc n / fs))[::step] without the full-rate output.
 
     With H = F(z) / D(z^step), the kept outputs need F only at multiples of
     step: one product of the (K x step) reshaped frame with a (step x L) tap
@@ -281,29 +281,6 @@ def downconvert_decimated_iir(x_p, sos, step, fc, fs):
         w[lag:] += parts[:n_out - lag, lag]
     w *= mix
     return sig.sosfilt(d, w)
-
-
-def upconvert(x_bb, fc, fs):
-    """Translate complex baseband to a real passband signal at carrier fc.
-
-    x_p[n] = Re{x_bb[n] exp(j 2 pi fc n / fs)}. Mean power drops by half
-    relative to the baseband input; the downconvert gain of 2 restores it.
-    held_iir_upconvert mixes inside the transmit lowpass; this is its reference.
-    """
-    if fs <= 2.0 * fc:
-        raise ConfigurationError(f"sample rate {fs} cannot carry fc={fc} (needs fs > 2 fc)")
-    x_bb = np.asarray(x_bb)
-    return np.real(x_bb * np.exp(2j * np.pi * fc * np.arange(len(x_bb)) / fs))
-
-
-def downconvert(x_p, fc, fs):
-    """Mix a real passband signal down to complex baseband (gain 2, images kept).
-
-    The caller applies a lowpass to remove the residual component at 2 fc.
-    downconvert_decimated_iir mixes inside the receive lowpass; this is its reference.
-    """
-    x_p = np.asarray(x_p)
-    return 2.0 * x_p * np.conj(np.exp(2j * np.pi * fc * np.arange(len(x_p)) / fs))
 
 
 def paired_at_lag(tx, rx, lag, stride):

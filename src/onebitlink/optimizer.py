@@ -102,7 +102,8 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     The warnings each point raised are re-emitted here, in the same order.
     Per-point failures are recorded, not fatal; the argmax per system is
     taken over its successful points, with exact FOM ties broken toward
-    smaller ibo, then smaller b_bpf. A system with no successful point raises.
+    smaller ibo, then smaller b_bpf. A system with no successful point raises,
+    naming its first failed point and that point's error.
     """
     jobs = config.worker_count(jobs)
     if runner is None:
@@ -125,9 +126,12 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
             warnings.warn_explicit(message, category, filename, lineno)
     argmax = {}
     for system in sorted(grid.systems):
-        ok = [p for p in points if p.system == system and p.metrics is not None]
+        mine = [p for p in points if p.system == system]
+        ok = [p for p in mine if p.metrics is not None]
         if not ok:
-            raise RuntimeError(f"every grid point of {system} failed; no argmax exists")
+            raise RuntimeError(f"every grid point of {system} failed; no argmax exists "
+                               f"(first: ibo {mine[0].ibo:g}, b_bpf {mine[0].b_bpf:g}: "
+                               f"{mine[0].error})")
         best = max(ok, key=lambda p: p.metrics.fom_normalized)  # first of equal values
         argmax[system] = (best.ibo, best.b_bpf, best.metrics.fom_normalized)
     return GridResult(points=tuple(points), argmax=argmax, workers=workers)

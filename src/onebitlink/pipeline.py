@@ -71,15 +71,7 @@ class SystemConfig:
             raise ConfigurationError(
                 f"analog_sps={self.analog_sps} must be divisible by the converter rate "
                 f"rrc.samples_per_symbol={self.adc_sps}")
-        # The passband [fc - bandwidth, fc + bandwidth] must fit between 0 and Nyquist.
-        bandwidth = self.b * (1.0 + self.rrc.roll_off)
-        if self.fc() <= bandwidth:
-            raise ConfigurationError(
-                f"carrier {self.fc()} must lie above the signal bandwidth {bandwidth}")
-        nyquist = self.analog_sps * self.b / 2.0
-        if self.fc() + bandwidth >= nyquist:
-            raise ConfigurationError(
-                f"carrier {self.fc()} plus signal bandwidth exceeds Nyquist {nyquist}")
+        self.require_band("signal band", self.b * (1.0 + self.rrc.roll_off))
 
     @property
     def adc_sps(self):
@@ -104,6 +96,14 @@ class SystemConfig:
 
     def fc(self):
         return self.fc_multiple * self.b
+
+    def require_band(self, name, half):
+        """Raise unless the band fc +- half lies inside (0, fs/2)."""
+        nyquist = self.fs() / 2.0
+        if not (0.0 < self.fc() - half and self.fc() + half < nyquist):
+            raise ConfigurationError(
+                f"{name} of {2.0 * half:g} B around the carrier {self.fc():g} must lie "
+                f"between 0 and the Nyquist rate {nyquist:g}")
 
     def fs(self):
         return self.analog_sps * self.b
@@ -136,8 +136,8 @@ def _transmit(dac_in, sys_cfg, pa_cfg, window):
         if sys_cfg.one_bit:
             dac_in = quantizers.one_bit_quantize(dac_in)
         lpf_sos = dsp.design_butterworth(sys_cfg.lpf, fs)
-        wave = dsp.held_iir_upconvert(dac_in, sys_cfg.analog_sps // sys_cfg.dac_sps, lpf_sos,
-                                      sys_cfg.fc(), fs)
+        wave = dsp.upconvert(dac_in, lpf_sos, sys_cfg.analog_sps // sys_cfg.dac_sps,
+                             sys_cfg.fc(), fs)
 
     with _stage("pa"):
         wave /= np.sqrt(np.mean(np.square(wave[window])))  # x_p, unit RMS
@@ -190,8 +190,8 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     with _stage("rx"):
         # Mixer and lowpass in one block-rate kernel: no frame-length baseband.
-        rx = dsp.downconvert_decimated_iir(y_rx, lpf_sos, sys_cfg.analog_sps // sys_cfg.adc_sps,
-                                           sys_cfg.fc(), fs)
+        rx = dsp.downconvert(y_rx, lpf_sos, sys_cfg.analog_sps // sys_cfg.adc_sps,
+                             sys_cfg.fc(), fs)
         del y_rx  # y_p stays for the PSD
         if sys_cfg.one_bit:
             rx = quantizers.one_bit_quantize(rx)
@@ -220,10 +220,7 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 def bpf_spec_for(bbpf_over_b, sys_cfg, order):
     """Bandpass prototype of width bbpf_over_b * B centered on the carrier."""
     half = bbpf_over_b * sys_cfg.b / 2.0
-    high = sys_cfg.fc() + half
-    nyquist = sys_cfg.fs() / 2.0
-    if high >= nyquist:
-        raise ConfigurationError(f"bandpass edge {high} must lie below the Nyquist rate {nyquist}")
+    sys_cfg.require_band("bandpass", half)
     return dsp.ButterworthSpec(order=order, kind="bandpass",
-                               cutoff_low=sys_cfg.fc() - half, cutoff_high=high)
+                               cutoff_low=sys_cfg.fc() - half, cutoff_high=sys_cfg.fc() + half)
 

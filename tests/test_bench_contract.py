@@ -40,6 +40,31 @@ def test_traced_functions_resolve():
         assert callable(fn), f"onebitlink.{module}.{attr}"
 
 
+def test_traced_stages_are_the_ones_that_run(monkeypatch):
+    # Every traced name below the dispatchers gets a call in one short run_link
+    # per variant, except the two kept only for perfbench: zoh_hold, and
+    # iir_filter, which pa calls under its own import.
+    calls = {}
+    for module, attr in _constant("TRACED"):
+        if (module, attr) in (("cli", "main"), ("optimizer", "grid_search")):
+            continue
+        owner = importlib.import_module(f"onebitlink.{module}")
+        name = f"{module}.{attr}"
+        calls[name] = 0
+
+        def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    for variant in pipeline.VARIANTS:
+        sys_cfg = pipeline.SystemConfig(variant=variant, n_symbols=500)
+        pipeline.run_link(sys_cfg, PaConfig(bpf=pipeline.bpf_spec_for(0.9, sys_cfg, 4)),
+                          ChannelConfig())
+    assert sorted(n for n, count in calls.items() if count == 0) == [
+        "dsp.iir_filter", "dsp.zoh_hold"]
+
+
 def test_frame_config_keys_parse():
     text = _constant("FRAME_CONFIG").format(ibo="0.1, 1", bbpf="0.9", systems="sys1, sys2")
     cfg = config.parse_config_text(text)

@@ -330,6 +330,28 @@ class TestBadInput:
         assert failures[0].startswith("sys2,0.1,30,ConfigurationError:")
         assert "Nyquist" in failures[0]
 
+    def test_bandpass_of_twice_the_carrier_names_its_width(self, tmp_path, capsys):
+        # 60 B around the 30 B carrier reaches 0 Hz; the sweep point fails with the same reason.
+        cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 0.9, 60\n"
+                         + "grid.systems = sys2\n")
+        assert cli.main(["run", "--config", cfg, "--bbpf", "60",
+                         "--out", str(tmp_path / "r")]) == 1
+        reason = "bandpass of 60 B around the carrier 30"
+        assert reason in capsys.readouterr().err
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                         "--out", str(tmp_path / "s")]) == 0
+        failures = (tmp_path / "s" / "failures.log").read_text().splitlines()
+        assert len(failures) == 1 and reason in failures[0]
+
+    def test_every_point_failed_names_the_first_reason(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 61, 70\n"
+                         + "grid.systems = sys2\n")
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "every grid point of sys2 failed" in err
+        assert "first: ibo 0.1, b_bpf 61" in err and "Nyquist" in err
+
     def test_grid_above_the_point_bound_exits_1_before_any_work(self, tmp_path, monkeypatch,
                                                                capsys):
         # grid_search builds the task list and starts the pool; neither may run

@@ -7,8 +7,7 @@ from scipy import signal as sig
 from onebitlink import dsp
 from onebitlink.dsp import (AlignmentAmbiguityWarning, ButterworthSpec, RrcSpec,
                             align, design_butterworth, design_rrc, downconvert,
-                            downconvert_decimated_iir, fir_filter, held_iir_upconvert,
-                            iir_filter, paired_at_lag, upconvert,
+                            fir_filter, iir_filter, paired_at_lag, upconvert,
                             upsample_zero_insert, zoh_hold)
 from onebitlink.errors import ConfigurationError
 
@@ -16,6 +15,20 @@ from onebitlink.errors import ConfigurationError
 def _freqz_sos(sos, f, fs):
     _, h = sig.sosfreqz(sos, worN=[2 * np.pi * f / fs])
     return np.abs(h[0])
+
+
+# The unfused mixers, the references for the block-rate kernels: each
+# computes the closed-form carrier product on the whole frame.
+def _mix_up(x_bb, fc, fs):
+    if fs <= 2.0 * fc:
+        raise ConfigurationError(f"sample rate {fs} cannot carry fc={fc} (needs fs > 2 fc)")
+    x_bb = np.asarray(x_bb)
+    return np.real(x_bb * np.exp(2j * np.pi * fc * np.arange(len(x_bb)) / fs))
+
+
+def _mix_down(x_p, fc, fs):
+    x_p = np.asarray(x_p)
+    return 2.0 * x_p * np.conj(np.exp(2j * np.pi * fc * np.arange(len(x_p)) / fs))
 
 
 class TestRrc:
@@ -136,8 +149,8 @@ class TestRateChanges:
 
 
 class TestBlockRateLowpass:
-    """The look-ahead kernels with the carrier folded in reproduce the mixer
-    and sosfilt to within 1e-10 of the output RMS.
+    """upconvert and downconvert, the look-ahead kernels with the carrier folded
+    in, reproduce the reference mixers and sosfilt to within 1e-10 of the output RMS.
 
     The frames stay short: the references' carrier exp(j 2 pi fc k / fs) loses
     phase accuracy as k grows, and the bound is meant for the kernels.
@@ -145,7 +158,7 @@ class TestBlockRateLowpass:
 
     FC, FS = 30.0, 128.0
     # The paper frame: 10^4 symbols at 128 samples per symbol. Mixing a
-    # complex frame, as upconvert and downconvert do, peaks at 3-6 real frames.
+    # complex frame, as the reference mixers do, peaks at 3-6 real frames.
     PAPER_FRAME = 10_000 * 128
 
     @staticmethod
@@ -160,12 +173,12 @@ class TestBlockRateLowpass:
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.sqrt(np.mean(np.abs(ref) ** 2))
 
     def _assert_transmit(self, u, hold, sos, fc, fs):
-        self._assert_close(held_iir_upconvert(u, hold, sos, fc, fs),
-                           upconvert(sig.sosfilt(sos, zoh_hold(u, hold)), fc, fs))
+        self._assert_close(upconvert(u, sos, hold, fc, fs),
+                           _mix_up(sig.sosfilt(sos, zoh_hold(u, hold)), fc, fs))
 
     def _assert_receive(self, x, sos, step, fc, fs):
-        self._assert_close(downconvert_decimated_iir(x, sos, step, fc, fs),
-                           sig.sosfilt(sos, downconvert(x, fc, fs))[::step])
+        self._assert_close(downconvert(x, sos, step, fc, fs),
+                           sig.sosfilt(sos, _mix_down(x, fc, fs))[::step])
 
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("hold", [1, 4, 32, 128])
@@ -185,7 +198,7 @@ class TestBlockRateLowpass:
         sos = design_butterworth(ButterworthSpec(order=order), fs=self.FS)
         x = self._signal(200 * step + extra, complex_input, seed=order * step)
         if complex_input:
-            x = upconvert(x, self.FC, self.FS)
+            x = _mix_up(x, self.FC, self.FS)
         self._assert_receive(x, sos, step, self.FC, self.FS)
 
     def test_other_analog_rate(self):
@@ -211,9 +224,9 @@ class TestBlockRateLowpass:
     def test_rate_factor_below_one_rejected(self, factor):
         sos = design_butterworth(ButterworthSpec(), fs=self.FS)
         with pytest.raises(ValueError):
-            held_iir_upconvert(np.ones(4), factor, sos, self.FC, self.FS)
+            upconvert(np.ones(4), sos, factor, self.FC, self.FS)
         with pytest.raises(ValueError):
-            downconvert_decimated_iir(np.ones(4), sos, factor, self.FC, self.FS)
+            downconvert(np.ones(4), sos, factor, self.FC, self.FS)
 
     @staticmethod
     def _traced_peak(kernel, *args):
@@ -228,50 +241,23 @@ class TestBlockRateLowpass:
     def test_transmit_peak_is_about_its_real_output(self, hold):
         sos = design_butterworth(ButterworthSpec(), fs=self.FS)
         u = self._signal(self.PAPER_FRAME // hold, True, seed=7)
-        peak = self._traced_peak(held_iir_upconvert, u, hold, sos, self.FC, self.FS)
+        peak = self._traced_peak(upconvert, u, sos, hold, self.FC, self.FS)
         frame = 8 * self.PAPER_FRAME
         assert peak <= 1.5 * frame, f"peak {peak / frame:.2f} real frames"
 
     def test_receive_peak_stays_below_one_frame(self):
         sos = design_butterworth(ButterworthSpec(), fs=self.FS)
         x = self._signal(self.PAPER_FRAME, False, seed=8)
-        peak = self._traced_peak(downconvert_decimated_iir, x, sos, 32, self.FC, self.FS)
+        peak = self._traced_peak(downconvert, x, sos, 32, self.FC, self.FS)
         frame = 8 * self.PAPER_FRAME
         assert peak <= 0.6 * frame, f"peak {peak / frame:.2f} real frames"
 
 
 class TestMixers:
-    def test_round_trip_dc(self):
-        fs, fc, n = 64.0, 8.0, 512
-        up = upconvert(np.ones(n, dtype=complex), fc, fs)
-        assert np.isrealobj(up)
-        down = downconvert(up, fc, fs)
-        # baseband term is recovered exactly on average; the 2*fc image
-        # integrates to zero over whole carrier periods
-        assert np.isclose(np.mean(down), 1.0, atol=1e-12)
-
     def test_upconvert_requires_headroom(self):
-        with pytest.raises(ConfigurationError):
-            upconvert(np.ones(8, dtype=complex), fc=40.0, fs=64.0)
         sos = design_butterworth(ButterworthSpec(), fs=64.0)
         with pytest.raises(ConfigurationError):
-            held_iir_upconvert(np.ones(8, dtype=complex), 4, sos, fc=40.0, fs=64.0)
-
-    def test_cached_carrier_matches_closed_form_bit_for_bit(self):
-        # The mixers are the references for the block-rate kernels: each
-        # computes exactly the closed-form carrier product.
-        rng = np.random.default_rng(5)
-        fc, fs = 30.0, 128.0
-        for n in (4096, 1000):
-            x_bb = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x_p = rng.standard_normal(n)
-            k = np.arange(n)
-            up_ref = np.real(x_bb * np.exp(2j * np.pi * fc * k / fs))
-            down_ref = 2.0 * x_p * np.exp(-2j * np.pi * fc * k / fs)
-            up = upconvert(x_bb, fc, fs)
-            down = downconvert(x_p, fc, fs)
-            assert np.array_equal(up.view(np.uint64), up_ref.view(np.uint64))
-            assert np.array_equal(down.view(np.uint64), down_ref.view(np.uint64))
+            upconvert(np.ones(8, dtype=complex), sos, 4, fc=40.0, fs=64.0)
 
 
 class TestAlign:

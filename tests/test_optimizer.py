@@ -94,7 +94,7 @@ class TestGridSearchWithRunner:
         def runner(system, ibo, bbpf, seed):
             raise RuntimeError("nope")
 
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="first: ibo 0.1, b_bpf 0.9: RuntimeError: nope"):
             grid_search(grid, *_configs(), runner=runner)
 
     def test_argmax_is_true_maximum(self):
