@@ -82,7 +82,7 @@ def cmd_run(args):
 
 
 def _curve_files(points, out_dir):
-    """Derive the per-curve CSV files from the sorted grid points."""
+    """Write the per-curve CSV files; return fig8's back-off (None if no point succeeded)."""
     ok = [p for p in points if p.metrics is not None]
     by_family = sorted(ok, key=lambda p: (p.system, p.b_bpf, p.ibo))
 
@@ -100,8 +100,8 @@ def _curve_files(points, out_dir):
     for p in ok:
         fig7.append(f"{p.system},{_fmt(p.ibo)},{_fmt(p.b_bpf)},{_fmt(p.metrics.fom_normalized)}")
 
-    ibos = sorted({p.ibo for p in ok})
-    ibo8 = min(ibos, key=lambda v: abs(v - 0.1))
+    # sorted, so of two back-offs equally near 0.1 the smaller is taken
+    ibo8 = min(sorted({p.ibo for p in ok}), key=lambda v: abs(v - 0.1), default=None)
     fig8 = ["system,b_bpf_over_b,fom_norm"]
     for p in by_family:
         if p.ibo == ibo8:
@@ -132,6 +132,12 @@ def cmd_sweep(args):
     _write_lines(os.path.join(cfg.out_dir, "failures.log"), failures)
 
     ibo8 = _curve_files(result.points, cfg.out_dir)
+    for system in sorted(grid.systems):
+        if system not in result.argmax:
+            first = next(p for p in result.points if p.system == system)
+            raise RuntimeError(f"every grid point of {system} failed; no argmax exists "
+                               f"(first: ibo {first.ibo:g}, b_bpf {first.b_bpf:g}: "
+                               f"{first.error})")
     n_ok = len(result.points) - len(result.failures())
     print(f"evaluated {len(result.points)} grid points ({n_ok} ok, "
           f"{len(result.failures())} failed) with jobs={result.workers}")
@@ -185,7 +191,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", parents=[link],
                              help="evaluate the configured (ibo, b_bpf) grid")
-    p_sweep.add_argument("--jobs", type=config_mod.worker_count,
+    p_sweep.add_argument("--jobs", type=optimizer.worker_count,
                          help="worker processes, at most one per point and core "
                               "(default: all cores)")
     p_sweep.set_defaults(func=cmd_sweep)

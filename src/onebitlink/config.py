@@ -10,9 +10,8 @@ point (sys2, ibo 0.1, b_bpf 0.9B, 10 dB SINR, 10^4 symbols at 128 samples per
 symbol).
 
 List values are comma-separated (`grid.ibo = 0.0316,0.1,1,10`); the range
-form `lo:step:hi` (inclusive, at most MAX_RANGE_VALUES values) is also
-accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite, and a
-sweep grid holds at most MAX_RANGE_VALUES points (systems x ibo x b_bpf).
+form `lo:step:hi` (inclusive, at most optimizer.MAX_GRID_POINTS values) is
+also accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite.
 """
 
 import argparse
@@ -25,13 +24,9 @@ from . import pa as pa_mod
 from .errors import ConfigurationError
 
 
-# The most values one range gives, and the most points one sweep grid holds.
-MAX_RANGE_VALUES = 10_000
-
-
-# finite_float, output_dir and worker_count double as argparse types, and
-# argparse prints an ArgumentTypeError's message (a ConfigurationError is one)
-# as is: a flag and a key report the same reason.
+# finite_float and output_dir double as argparse types, like
+# optimizer.worker_count, and argparse prints an ArgumentTypeError's message
+# (a ConfigurationError is one) as is: a flag and a key report the same reason.
 def finite_float(text):
     """float(text), rejecting nan and +-inf."""
     try:
@@ -50,17 +45,6 @@ def output_dir(text):
     return text
 
 
-def worker_count(value):
-    """int(value) worker processes, at least 1."""
-    try:
-        jobs = int(value)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _float_list(text):
     if ":" in text:
         parts = text.split(":")
@@ -72,12 +56,12 @@ def _float_list(text):
         # Bounded by count, not by (hi - lo) / step: a step below the spacing
         # of floats near lo leaves lo + k * step unchanged for many k.
         out = []
-        for k in range(MAX_RANGE_VALUES + 1):
+        for k in range(optimizer.MAX_GRID_POINTS + 1):
             v = round(lo + k * step, 10)
             if v > hi + step * 1e-6:
                 return tuple(out)
             out.append(v)
-        raise ValueError(f"range gives more than {MAX_RANGE_VALUES} values")
+        raise ValueError(f"range gives more than {optimizer.MAX_GRID_POINTS} values")
     return tuple(finite_float(p) for p in text.split(","))
 
 

@@ -106,12 +106,9 @@ def design_butterworth(spec, fs):
     """Design `spec` at sample rate `fs` and return second-order sections.
 
     The digital design is prewarped so the magnitude is exactly -3 dB at the
-    specified edge frequencies.
+    specified edge frequencies. scipy raises ValueError for an edge at or
+    above fs/2; SystemConfig.require_band keeps the link's filters below it.
     """
-    nyq = fs / 2.0
-    if spec.cutoff_high >= nyq:
-        raise ConfigurationError(
-            f"cutoff {spec.cutoff_high} must lie below the Nyquist rate {nyq}")
     if spec.kind == "lowpass":
         sos = sig.butter(spec.order, spec.cutoff_high, btype="lowpass", fs=fs, output="sos")
     else:
@@ -130,9 +127,6 @@ def fir_filter(x, taps):
 
     Output n is full-convolution sample n + (len(taps)-1)//2, the taps' group delay.
     """
-    taps = np.asarray(taps)
-    if taps.size == 0:
-        raise ValueError("empty tap vector")
     delay = (len(taps) - 1) // 2
     return np.convolve(np.asarray(x), taps)[delay:delay + len(x)]
 
@@ -144,8 +138,6 @@ def iir_filter(x, sos):
 
 def upsample_zero_insert(symbols, L):
     """Insert L-1 zeros after every symbol; output length is L*len(symbols)."""
-    if L < 1:
-        raise ValueError(f"upsampling factor must be >= 1, got {L}")
     symbols = np.asarray(symbols)
     out = np.zeros(L * len(symbols), dtype=symbols.dtype)
     out[::L] = symbols
@@ -232,11 +224,8 @@ def upconvert(u, sos, hold, fc, fs):
     w = exp(j 2 pi fc hold / fs), so with v[m] w^m in the lag matrix and the
     carrier folded into G the real passband is one real product of the rows
     [Re, Im] of the lags with the rows [Re, -Im] of the modulated taps.
+    SystemConfig guarantees hold >= 1 and fs > 2 fc.
     """
-    if hold < 1:
-        raise ValueError(f"hold factor must be >= 1, got {hold}")
-    if fs <= 2.0 * fc:
-        raise ConfigurationError(f"sample rate {fs} cannot carry fc={fc} (needs fs > 2 fc)")
     f, d = _look_ahead(sos, hold)
     g = np.cumsum(f)
     g[hold:] -= g[:-hold].copy()
@@ -261,14 +250,14 @@ def downconvert(x_p, sos, step, fc, fs):
     filtering equals filtering with the modulated taps 2 f[k] exp(j 2 pi fc k / fs)
     and mixing output n by conj(w)^n, w = exp(j 2 pi fc step / fs): the real
     frame meets complex taps in one real product, and no baseband frame is built.
+    x_p must be whole blocks of step samples (a partial block raises
+    ValueError); SystemConfig guarantees step >= 1 and fs > 2 fc.
     """
-    if step < 1:
-        raise ValueError(f"decimation step must be >= 1, got {step}")
     x = np.asarray(x_p, dtype=np.float64)
-    f, d = _look_ahead(sos, step)
-    n_out = -(-len(x) // step)
     if len(x) % step:
-        x = np.concatenate([x, np.zeros(n_out * step - len(x))])
+        raise ValueError(f"frame of {len(x)} samples is not whole blocks of {step}")
+    f, d = _look_ahead(sos, step)
+    n_out = len(x) // step
     n_taps = len(f) - step + 1  # the rest of f is zero padding
     f = 2.0 * f[:n_taps].astype(np.float64) * _phasors(fc / fs, n_taps)
     # taps[c, l] = f[l*step - c]: sample c of block n-l feeds output n.

@@ -1,4 +1,5 @@
-"""Measurement suite: mutual information, PSD, occupied bandwidth, efficiencies.
+"""Measurement suite: mutual information, PSD, occupied bandwidth, and the
+LinkMetrics row, the one place the efficiencies and the FOM are computed.
 
 Mutual information uses a plug-in joint-histogram estimator. For receivers
 that keep soft values, each real dimension of the aligned output is uniformly
@@ -62,6 +63,20 @@ class LinkMetrics:
                 f"p_t={self.p_t} exceeds the clipped-harmonic bound (4/pi)*p_pa={HARMONIC_BOUND * self.p_pa}")
         if not -1e-9 <= self.mi <= 2.0 + 1e-9:
             raise ValueError(f"mutual information {self.mi} outside [0, 2]")
+
+    @classmethod
+    def from_measurements(cls, mi, rate_r, b_pa, p_pa, p_t, n0, alpha):
+        """The row with its efficiencies: eta_p = R/p_pa, eta_b = R/b_pa,
+        fom = eta_p * eta_b and fom_normalized = fom * n0 / alpha."""
+        if p_pa <= 0:
+            raise ValueError(f"p_pa must be positive, got {p_pa}")
+        if b_pa <= 0:
+            raise ValueError(f"b_pa must be positive, got {b_pa}")
+        eta_p = rate_r / p_pa
+        eta_b = rate_r / b_pa
+        fom = eta_p * eta_b
+        return cls(mi=mi, rate_r=rate_r, b_pa=b_pa, p_pa=p_pa, p_t=p_t, eta_p=eta_p,
+                   eta_b=eta_b, fom=fom, fom_normalized=fom * n0 / alpha)
 
 
 def mutual_information(tx, rx_aligned, bins_per_dim):
@@ -159,19 +174,3 @@ def occupied_bandwidth(psd, fc):
         else:
             lo = mid
     return hi
-
-
-def efficiencies(rate_r, p_pa, b_pa, n0, alpha):
-    """Power efficiency, spectral efficiency, their product, and its normalized form.
-
-    eta_p = R/p_pa, eta_b = R/b_pa, fom = eta_p * eta_b,
-    fom_normalized = fom * n0 / alpha.
-    """
-    if p_pa <= 0:
-        raise ValueError(f"p_pa must be positive, got {p_pa}")
-    if b_pa <= 0:
-        raise ValueError(f"b_pa must be positive, got {b_pa}")
-    eta_p = rate_r / p_pa
-    eta_b = rate_r / b_pa
-    fom = eta_p * eta_b
-    return eta_p, eta_b, fom, fom * n0 / alpha

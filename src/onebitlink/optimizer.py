@@ -8,8 +8,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import config, pipeline
+from . import pipeline
 from .errors import ConfigurationError
+
+# The most points one sweep grid holds (systems x ibo x b_bpf), and the most
+# values one config range gives.
+MAX_GRID_POINTS = 10_000
+
+
+def worker_count(value):
+    """int(value) worker processes, at least 1; also the --jobs argparse type."""
+    try:
+        jobs = int(value)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -32,9 +47,9 @@ class GridSpec:
         if not self.systems:
             raise ConfigurationError("empty system list")
         n_points = len(self.systems) * len(self.ibo_values) * len(self.bbpf_values)
-        if n_points > config.MAX_RANGE_VALUES:
+        if n_points > MAX_GRID_POINTS:
             raise ConfigurationError(f"grid has {n_points} points (systems x ibo x b_bpf), "
-                                     f"more than {config.MAX_RANGE_VALUES}")
+                                     f"more than {MAX_GRID_POINTS}")
         if len(set(self.systems)) != len(self.systems):
             raise ConfigurationError(f"repeated system variants in {list(self.systems)}")
         unknown = set(self.systems) - set(pipeline.VARIANTS)
@@ -102,10 +117,10 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     The warnings each point raised are re-emitted here, in the same order.
     Per-point failures are recorded, not fatal; the argmax per system is
     taken over its successful points, with exact FOM ties broken toward
-    smaller ibo, then smaller b_bpf. A system with no successful point raises,
-    naming its first failed point and that point's error.
+    smaller ibo, then smaller b_bpf. A system with no successful point has
+    no argmax entry.
     """
-    jobs = config.worker_count(jobs)
+    jobs = worker_count(jobs)
     if runner is None:
         runner = functools.partial(_run_point, sys_cfg, pa_cfg, ch_cfg)
     tasks = [(system, float(ibo), float(bbpf), sys_cfg.seed)
@@ -126,12 +141,8 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
             warnings.warn_explicit(message, category, filename, lineno)
     argmax = {}
     for system in sorted(grid.systems):
-        mine = [p for p in points if p.system == system]
-        ok = [p for p in mine if p.metrics is not None]
-        if not ok:
-            raise RuntimeError(f"every grid point of {system} failed; no argmax exists "
-                               f"(first: ibo {mine[0].ibo:g}, b_bpf {mine[0].b_bpf:g}: "
-                               f"{mine[0].error})")
-        best = max(ok, key=lambda p: p.metrics.fom_normalized)  # first of equal values
-        argmax[system] = (best.ibo, best.b_bpf, best.metrics.fom_normalized)
+        ok = [p for p in points if p.system == system and p.metrics is not None]
+        if ok:
+            best = max(ok, key=lambda p: p.metrics.fom_normalized)  # first of equal values
+            argmax[system] = (best.ibo, best.b_bpf, best.metrics.fom_normalized)
     return GridResult(points=tuple(points), argmax=argmax, workers=workers)

@@ -31,7 +31,7 @@ _VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (Fa
 VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
-# run holds about two complex frames at its peak.
+# run's traced peak is about 1.3 complex frames (sys1-3 at the default frame).
 MAX_FRAME_SAMPLES = 2 ** 24
 
 
@@ -98,7 +98,9 @@ class SystemConfig:
         return self.fc_multiple * self.b
 
     def require_band(self, name, half):
-        """Raise unless the band fc +- half lies inside (0, fs/2)."""
+        """Raise unless half > 0 and the band fc +- half lies inside (0, fs/2)."""
+        if half <= 0:
+            raise ConfigurationError(f"{name} width must be positive, got {2.0 * half:g} B")
         nyquist = self.fs() / 2.0
         if not (0.0 < self.fc() - half and self.fc() + half < nyquist):
             raise ConfigurationError(
@@ -209,12 +211,8 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         rate_r = sys_cfg.b * mi
         psd = metrics_mod.welch_psd(y_p[window], fs)
         b_pa = metrics_mod.occupied_bandwidth(psd, sys_cfg.fc())
-        n0 = sigma_n2 / sys_cfg.b
-        eta_p, eta_b, fom, fom_norm = metrics_mod.efficiencies(
-            rate_r, p_pa, b_pa, n0, ch_cfg.alpha)
-        return metrics_mod.LinkMetrics(
-            mi=mi, rate_r=rate_r, b_pa=b_pa, p_pa=p_pa, p_t=p_t,
-            eta_p=eta_p, eta_b=eta_b, fom=fom, fom_normalized=fom_norm)
+        return metrics_mod.LinkMetrics.from_measurements(
+            mi, rate_r, b_pa, p_pa, p_t, sigma_n2 / sys_cfg.b, ch_cfg.alpha)
 
 
 def bpf_spec_for(bbpf_over_b, sys_cfg, order):

@@ -159,6 +159,13 @@ class TestBadInput:
         assert "jobs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_run_bandpass_width_not_positive_exits_1(self, tmp_path, capsys, width):
+        rc = cli.main(["run", "--bbpf", width, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"bandpass width must be positive, got {width} B" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_key_set_twice_exits_1(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, FAST_CFG + "seed = 1\nseed = 5\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -351,6 +358,11 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "every grid point of sys2 failed" in err
         assert "first: ibo 0.1, b_bpf 61" in err and "Nyquist" in err
+        # the files are written before the exit
+        out = tmp_path / "o"
+        assert len((out / "failures.log").read_text().splitlines()) == 2
+        assert (out / "grid.csv").read_text().splitlines() == [cli.CSV_HEADER]
+        assert all((out / f"fig{k}.csv").exists() for k in range(4, 9))
 
     def test_grid_above_the_point_bound_exits_1_before_any_work(self, tmp_path, monkeypatch,
                                                                capsys):

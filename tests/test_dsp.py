@@ -96,7 +96,8 @@ class TestButterworth:
             assert np.isclose(_freqz_sos(sos, edge, 128.0), np.sqrt(0.5), atol=2e-2)
 
     def test_rejects_cutoff_at_nyquist(self):
-        with pytest.raises(ConfigurationError):
+        # scipy's own check; SystemConfig.require_band keeps the link below it
+        with pytest.raises(ValueError):
             design_butterworth(ButterworthSpec(order=4, kind="lowpass",
                                                cutoff_high=64.0), fs=128.0)
 
@@ -189,7 +190,8 @@ class TestBlockRateLowpass:
         self._assert_transmit(u, hold, sos, self.FC, self.FS)
 
     # "real" feeds a white real frame, "complex" the passband of a complex
-    # baseband frame, the receiver's own kind of input.
+    # baseband frame, the receiver's own kind of input. A frame one sample
+    # off whole blocks is rejected (unless step is 1); its whole blocks match.
     @pytest.mark.parametrize("extra", [0, 1, -1], ids=["whole", "plus1", "minus1"])
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("step", [1, 4, 32, 128])
@@ -199,7 +201,11 @@ class TestBlockRateLowpass:
         x = self._signal(200 * step + extra, complex_input, seed=order * step)
         if complex_input:
             x = _mix_up(x, self.FC, self.FS)
-        self._assert_receive(x, sos, step, self.FC, self.FS)
+        whole = len(x) - len(x) % step
+        if whole < len(x):
+            with pytest.raises(ValueError, match="not whole blocks"):
+                downconvert(x, sos, step, self.FC, self.FS)
+        self._assert_receive(x[:whole], sos, step, self.FC, self.FS)
 
     def test_other_analog_rate(self):
         # 256 samples per symbol: the transmit hold and receive step are 64.
@@ -211,7 +217,7 @@ class TestBlockRateLowpass:
         # fc * factor / fs = 1.73 turns: the block phasor w is not +-1.
         sos = design_butterworth(ButterworthSpec(order=4), fs=100.0)
         self._assert_transmit(self._signal(300, True, seed=5), 10, sos, 17.3, 100.0)
-        self._assert_receive(self._signal(3007, False, seed=6), sos, 10, 17.3, 100.0)
+        self._assert_receive(self._signal(3000, False, seed=6), sos, 10, 17.3, 100.0)
 
     def test_blocked_product_tiles_every_dimension(self, monkeypatch):
         # A budget of 7 multiply-adds splits rows, columns and the inner sum.
@@ -219,14 +225,6 @@ class TestBlockRateLowpass:
         a = self._signal(5 * 13, False, seed=1).reshape(5, 13)
         b = self._signal(13 * 4, False, seed=2).reshape(13, 4)
         np.testing.assert_allclose(dsp._matmul(a, b), a @ b, rtol=1e-13, atol=1e-13)
-
-    @pytest.mark.parametrize("factor", [0, -1])
-    def test_rate_factor_below_one_rejected(self, factor):
-        sos = design_butterworth(ButterworthSpec(), fs=self.FS)
-        with pytest.raises(ValueError):
-            upconvert(np.ones(4), sos, factor, self.FC, self.FS)
-        with pytest.raises(ValueError):
-            downconvert(np.ones(4), sos, factor, self.FC, self.FS)
 
     @staticmethod
     def _traced_peak(kernel, *args):
@@ -252,12 +250,6 @@ class TestBlockRateLowpass:
         frame = 8 * self.PAPER_FRAME
         assert peak <= 0.6 * frame, f"peak {peak / frame:.2f} real frames"
 
-
-class TestMixers:
-    def test_upconvert_requires_headroom(self):
-        sos = design_butterworth(ButterworthSpec(), fs=64.0)
-        with pytest.raises(ConfigurationError):
-            upconvert(np.ones(8, dtype=complex), sos, 4, fc=40.0, fs=64.0)
 
 
 class TestAlign:

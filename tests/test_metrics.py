@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal as sig
 
-from onebitlink.metrics import (PSD_SEGMENT_LEN, LinkMetrics, PsdEstimate, efficiencies,
+from onebitlink.metrics import (PSD_SEGMENT_LEN, LinkMetrics, PsdEstimate,
                                 mutual_information, occupied_bandwidth,
                                 plugin_mi_bias, welch_psd)
 
@@ -128,19 +128,21 @@ class TestOccupiedBandwidth:
 
 
 class TestEfficiencies:
+    """LinkMetrics.from_measurements, the one place the efficiencies and the FOM are computed."""
+
     def test_values_and_fom(self):
-        m = efficiencies(rate_r=2.0, p_pa=0.5, b_pa=1.0, n0=0.01, alpha=1.0)
-        eta_p, eta_b, fom, fom_norm = m
-        assert np.isclose(eta_p, 4.0)
-        assert np.isclose(eta_b, 2.0)
-        assert np.isclose(fom, 8.0)
-        assert np.isclose(fom_norm, 0.08)
+        m = LinkMetrics.from_measurements(mi=2.0, rate_r=2.0, b_pa=1.0, p_pa=0.5, p_t=0.5,
+                                          n0=0.01, alpha=1.0)
+        assert np.isclose(m.eta_p, 4.0)
+        assert np.isclose(m.eta_b, 2.0)
+        assert np.isclose(m.fom, 8.0)
+        assert np.isclose(m.fom_normalized, 0.08)
 
     def test_rejects_nonpositive_denominators(self):
-        with pytest.raises(ValueError):
-            efficiencies(1.0, 0.0, 1.0, 0.01, 1.0)
-        with pytest.raises(ValueError):
-            efficiencies(1.0, 1.0, -1.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match="p_pa must be positive"):
+            LinkMetrics.from_measurements(1.0, 1.0, 1.0, 0.0, 0.0, 0.01, 1.0)
+        with pytest.raises(ValueError, match="b_pa must be positive"):
+            LinkMetrics.from_measurements(1.0, 1.0, -1.0, 1.0, 1.0, 0.01, 1.0)
 
 
 def _link_metrics(**changes):

@@ -88,14 +88,22 @@ class TestGridSearchWithRunner:
         assert bad[0].ibo == 0.1 and "diverged" in bad[0].error
         assert res.argmax["sys2"] == (1.0, 0.9, 1.3)
 
-    def test_all_failed_raises(self):
-        grid = GridSpec((0.1,), (0.9,), ("sys2",))
+    def test_all_failed_leaves_no_argmax(self):
+        # sys1 fails everywhere, sys2 only at b_bpf 1.0: each point's error is
+        # recorded, and only sys2 gets an argmax.
+        grid = GridSpec((0.1,), (0.9, 1.0), ("sys1", "sys2"))
 
         def runner(system, ibo, bbpf, seed):
-            raise RuntimeError("nope")
+            if system == "sys1" or bbpf == 1.0:
+                raise RuntimeError(f"nope at {bbpf:g}")
+            return _metrics(0.5)
 
-        with pytest.raises(RuntimeError, match="first: ibo 0.1, b_bpf 0.9: RuntimeError: nope"):
-            grid_search(grid, *_configs(), runner=runner)
+        res = grid_search(grid, *_configs(), runner=runner)
+        assert res.argmax == {"sys2": (0.1, 0.9, 0.5)}
+        assert [(p.system, p.b_bpf, p.error) for p in res.failures()] == [
+            ("sys1", 0.9, "RuntimeError: nope at 0.9"),
+            ("sys1", 1.0, "RuntimeError: nope at 1"),
+            ("sys2", 1.0, "RuntimeError: nope at 1")]
 
     def test_argmax_is_true_maximum(self):
         grid = GridSpec((0.1, 1.0), (0.8, 0.9, 1.0), ("sys2",))
