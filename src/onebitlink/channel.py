@@ -45,11 +45,19 @@ def calibrate_noise(p_t, cfg):
     return cfg.alpha * p_t / ((1.0 + cfg.interference_ratio) * 10.0 ** (cfg.sinr_db / 10.0))
 
 
+def noise_scale(sigma_n2, b, fs):
+    """Per-sample RMS of real white noise at rate `fs` whose band of width `b` has power sigma_n2.
+
+    The variance sigma_n2 * (fs/2) / b is a flat one-sided density of
+    sigma_n2 / b over [0, fs/2].
+    """
+    return np.sqrt(sigma_n2 * (fs / 2.0) / b)
+
+
 def add_awgn(x, sigma_n2, b, fs, rng):
     """Add white Gaussian noise to the real waveform `x`; a band of width `b` gets power sigma_n2.
 
-    The per-sample variance is sigma_n2 * (fs/2) / b, i.e. a flat one-sided
-    density of sigma_n2 / b over [0, fs/2]. `rng` is an integer seed or a
+    The per-sample RMS is noise_scale(sigma_n2, b, fs). `rng` is an integer seed or a
     numpy Generator; generation uses numpy's default PCG64 bit stream, so a
     fixed seed reproduces the identical waveform.
     """
@@ -60,6 +68,6 @@ def add_awgn(x, sigma_n2, b, fs, rng):
         return x
     gen = np.random.default_rng(rng)
     noise = gen.standard_normal(len(x))
-    noise *= np.sqrt(sigma_n2 * (fs / 2.0) / b)
+    noise *= noise_scale(sigma_n2, b, fs)
     noise += x
     return noise

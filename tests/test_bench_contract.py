@@ -42,8 +42,11 @@ def test_traced_functions_resolve():
 
 def test_traced_stages_are_the_ones_that_run(monkeypatch):
     # Every traced name below the dispatchers gets a call in one short run_link
-    # per variant, except the two kept only for perfbench: zoh_hold, and
-    # iir_filter, which pa calls under its own import.
+    # per variant, except three that stay callable and traced: zoh_hold, kept
+    # only for perfbench; iir_filter, which pa calls under its own import; and
+    # add_awgn, since run_link adds the cached receiver noise instead. The
+    # cache is cleared first, so its draw runs whatever ran before.
+    pipeline._rx_noise.cache_clear()
     calls = {}
     for module, attr in _constant("TRACED"):
         if (module, attr) in (("cli", "main"), ("optimizer", "grid_search")):
@@ -62,7 +65,7 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
         pipeline.run_link(sys_cfg, PaConfig(bpf=pipeline.bpf_spec_for(0.9, sys_cfg, 4)),
                           ChannelConfig())
     assert sorted(n for n, count in calls.items() if count == 0) == [
-        "dsp.iir_filter", "dsp.zoh_hold"]
+        "channel.add_awgn", "dsp.iir_filter", "dsp.zoh_hold"]
 
 
 def test_frame_config_keys_parse():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from onebitlink import pipeline
 from onebitlink.channel import ChannelConfig
 from onebitlink.dsp import ButterworthSpec, RrcSpec
 from onebitlink.errors import ConfigurationError, StageError
@@ -153,15 +154,15 @@ class TestRunLink:
 
     def test_peak_memory_stays_near_three_frames(self):
         # Each frame-length buffer is freed after its last stage. At the paper
-        # frame the peak is in the rx stage: y_p (kept for the PSD), y_rx and
-        # the receive kernel's block sums, about 1.3 complex frames. A load
-        # current frame i_L next to a clipped drive kept past the bandpass
-        # takes it past two.
+        # frame the peak is in the pa stage, where the clipped drive meets its
+        # bandpass output y_p: about 1.1 complex frames. A load current frame
+        # i_L next to a clipped drive kept past the bandpass takes it past two.
         # At 2000 symbols fixed-size buffers weigh more, hence the looser bound.
-        # Nothing is cached across runs, so a first run is traced as it is.
+        # The receiver noise cache is cleared first, so its draw is counted.
         cases = [("sys2", 2000, 4.5)] + [(v, 10000, 1.6) for v in VARIANTS]
         for variant, n_symbols, bound in cases:
             sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=n_symbols)
+            pipeline._rx_noise.cache_clear()
             tracemalloc.start()
             try:
                 run_link(sys_cfg, pa_cfg, ch_cfg)
@@ -171,6 +172,34 @@ class TestRunLink:
             complex_frame = 16 * sys_cfg.n_symbols * sys_cfg.analog_sps
             assert peak <= bound * complex_frame, (
                 f"{variant} at {n_symbols} symbols: peak {peak / complex_frame:.2f} complex frames")
+
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_cached_receiver_noise_follows_every_input(self):
+        # Each config changes one input of the receiver noise from its
+        # predecessor, so a cache key that misses one returns the previous
+        # config's noise and the warm run differs from the cold one.
+        changes = [
+            {}, dict(seed=2), dict(n_symbols=600), dict(analog_sps=64),
+            dict(lpf=ButterworthSpec(order=5)), dict(lpf=ButterworthSpec(order=5, cutoff_high=1.2)),
+            dict(fc_multiple=20.0), dict(rrc=RrcSpec(samples_per_symbol=8)),
+            # only the sample rate: the frame length and the decimation step stay
+            dict(analog_sps=128, n_symbols=300, rrc=RrcSpec(samples_per_symbol=16)),
+        ]
+        kwargs = dict(variant="sys1", n_symbols=500)
+        ch_cfg = ChannelConfig(sinr_db=0.0)  # noise-dominated, so any noise change shows
+        for change in changes:
+            kwargs.update(change)
+            sys_cfg = SystemConfig(**kwargs)
+            pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
+            warm = run_link(sys_cfg, pa_cfg, ch_cfg)
+            pipeline._rx_noise.cache_clear()
+            cold = run_link(sys_cfg, pa_cfg, ch_cfg)
+            assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
+
+    def test_receiver_noise_cache_holds_one_entry(self):
+        for seed in (1, 2, 3, 1):
+            run_link(*_configs(n_symbols=500, seed=seed))
+            assert pipeline._rx_noise.cache_info().currsize == 1
 
     def test_stage_error_names_the_stage(self):
         sys_cfg = SystemConfig(n_symbols=2000)
