@@ -29,7 +29,7 @@ class ChannelConfig:
                 f"interference_ratio must be nonnegative, got {self.interference_ratio}")
         # calibrate_noise scales p_t by this factor; it must stay a usable number.
         try:
-            factor = self.alpha / ((1.0 + self.interference_ratio) * 10.0 ** (self.sinr_db / 10.0))
+            factor = calibrate_noise(1.0, self)
         except (OverflowError, ZeroDivisionError):  # 10**x overflowed, or underflowed to 0
             factor = math.inf
         if not 0.0 < factor < math.inf:

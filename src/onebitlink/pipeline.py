@@ -33,7 +33,7 @@ VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
 # run's traced peak is about 1.1 complex frames (1.05-1.10 for sys1-3 at the
-# default frame with the receiver noise cache cleared).
+# default frame with the _lowpass_and_noise cache cleared).
 MAX_FRAME_SAMPLES = 2 ** 24
 
 
@@ -64,7 +64,7 @@ class SystemConfig:
             raise ConfigurationError(
                 f"n_symbols * analog_sps = {self.n_symbols * self.analog_sps} exceeds the "
                 f"{MAX_FRAME_SAMPLES}-sample frame limit")
-        window = (self.n_symbols - 2 * self.rrc.span) * self.analog_sps  # see run_link
+        window = self.window.stop - self.window.start
         if window < metrics_mod.PSD_SEGMENT_LEN:
             raise ConfigurationError(
                 f"measurement window (n_symbols - 2 * rrc_span) * analog_sps = {window} is "
@@ -74,6 +74,13 @@ class SystemConfig:
                 f"analog_sps={self.analog_sps} must be divisible by the converter rate "
                 f"rrc.samples_per_symbol={self.adc_sps}")
         self.require_band("signal band", self.b * (1.0 + self.rrc.roll_off))
+
+    @property
+    def window(self):
+        """The analog-rate measurement slice: the first and last rrc.span
+        symbols carry filter transients and are excluded from every statistic."""
+        trim = self.rrc.span * self.analog_sps
+        return slice(trim, self.n_symbols * self.analog_sps - trim)
 
     @property
     def adc_sps(self):
@@ -128,45 +135,22 @@ def _stage(name):
         raise StageError(name, str(exc)) from exc
 
 
-def _transmit(dac_in, sys_cfg, pa_cfg, window):
-    """The dac and pa stages: DAC input samples to amplifier output.
-
-    Returns the transmit lowpass (the receiver reuses it), the amplifier
-    output y_p and the powers p_pa and p_t. Each frame-length intermediate is
-    rebound or deleted once its successor exists, so it is freed after its last use.
-    """
-    fs = sys_cfg.fs()
-    with _stage("dac"):
-        if sys_cfg.one_bit:
-            dac_in = quantizers.one_bit_quantize(dac_in)
-        lpf_sos = dsp.design_butterworth(sys_cfg.lpf, fs)
-        wave = dsp.upconvert(dac_in, lpf_sos, sys_cfg.analog_sps // sys_cfg.dac_sps,
-                             sys_cfg.fc(), fs)
-
-    with _stage("pa"):
-        wave /= np.sqrt(np.mean(np.square(wave[window])))  # x_p, unit RMS
-        v_sat = pa_cfg.ibo  # so the saturation voltage is the back-off itself
-        wave = pa_mod.clip(wave, v_sat)  # v_t
-        bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
-        y_p = pa_mod.bandpass_reconstruct(wave, bpf_sos)
-        del wave
-        p_pa = pa_mod.pa_power(y_p, v_sat, pa_cfg.r_load, window)
-        p_t = pa_mod.transmit_power(y_p, pa_cfg.r_load, window)
-    return lpf_sos, y_p, p_pa, p_t
-
-
 @functools.lru_cache(maxsize=1)
-def _rx_noise(seed, n, lpf, step, fc, fs):
-    """The receive front end's output for unit-variance channel noise, read-only.
+def _lowpass_and_noise(seed, n, lpf, step, fc, fs):
+    """The lowpass sections at fs and the receiver noise, both read-only.
 
-    Draws n samples from the second child of SeedSequence(seed) and runs
-    dsp.downconvert on them. Every point of a sweep runs at the sweep's seed,
-    so one entry serves the whole sweep; it holds n / step complex samples.
+    The receiver noise is unit-variance channel noise, n samples from the
+    second child of SeedSequence(seed), run through dsp.downconvert with those
+    sections. Both ends of the link use the sections. Every point of a sweep
+    runs at the sweep's seed, so one entry serves the whole sweep; it holds
+    n / step complex samples.
     """
+    sos = dsp.design_butterworth(lpf, fs)
+    sos.flags.writeable = False
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-    noise = dsp.downconvert(rng.standard_normal(n), dsp.design_butterworth(lpf, fs), step, fc, fs)
+    noise = dsp.downconvert(rng.standard_normal(n), sos, step, fc, fs)
     noise.flags.writeable = False
-    return noise
+    return sos, noise
 
 
 def run_link(sys_cfg, pa_cfg, ch_cfg):
@@ -174,8 +158,9 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     The configured seed feeds a SeedSequence whose two children drive the
     symbol source and the channel noise; the noise child feeds the cached
-    receiver noise (_rx_noise). Identical configurations reproduce
-    bit-identical metrics.
+    receiver noise (_lowpass_and_noise). Identical configurations reproduce
+    bit-identical metrics. Each frame-length intermediate is rebound or
+    deleted once its successor exists, so it is freed after its last use.
     """
     fs = sys_cfg.fs()
     span = sys_cfg.rrc.span
@@ -184,11 +169,12 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     with _stage("source"):
         tx = draw_symbols(sys_cfg.n_symbols, sym_rng)
-        # The channel noise, already through the receive front end. It is drawn
-        # before any frame-length buffer exists, so a cache miss adds little
-        # to the run's peak.
-        noise = _rx_noise(sys_cfg.seed, sys_cfg.n_symbols * sys_cfg.analog_sps, sys_cfg.lpf,
-                          step, sys_cfg.fc(), fs)
+        # The lowpass both ends use, and the channel noise already through the
+        # receive front end. The noise is drawn before any frame-length buffer
+        # exists, so a cache miss adds little to the run's peak.
+        lpf_sos, noise = _lowpass_and_noise(
+            sys_cfg.seed, sys_cfg.n_symbols * sys_cfg.analog_sps, sys_cfg.lpf, step,
+            sys_cfg.fc(), fs)
 
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.
@@ -198,12 +184,21 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         else:
             dac_in = tx
 
-    # Edge-trim window at the analog rate: the first and last span-many
-    # symbols carry filter transients and are excluded from every statistic.
-    trim = span * sys_cfg.analog_sps
-    window = slice(trim, sys_cfg.n_symbols * sys_cfg.analog_sps - trim)
+    with _stage("dac"):
+        if sys_cfg.one_bit:
+            dac_in = quantizers.one_bit_quantize(dac_in)
+        wave = dsp.upconvert(dac_in, lpf_sos, sys_cfg.analog_sps // sys_cfg.dac_sps,
+                             sys_cfg.fc(), fs)
 
-    lpf_sos, y_p, p_pa, p_t = _transmit(dac_in, sys_cfg, pa_cfg, window)
+    with _stage("pa"):
+        wave /= np.sqrt(np.mean(np.square(wave[sys_cfg.window])))  # x_p, unit RMS
+        v_sat = pa_cfg.ibo  # so the saturation voltage is the back-off itself
+        wave = pa_mod.clip(wave, v_sat)  # v_t
+        bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
+        y_p = pa_mod.bandpass_reconstruct(wave, bpf_sos)
+        del wave
+        p_pa = pa_mod.pa_power(y_p, v_sat, pa_cfg.r_load, sys_cfg.window)
+        p_t = pa_mod.transmit_power(y_p, pa_cfg.r_load, sys_cfg.window)
 
     with _stage("channel"):
         sigma_n2 = channel_mod.calibrate_noise(p_t, ch_cfg)
@@ -230,7 +225,7 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     with _stage("metrics"):
         mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep], sys_cfg.mi_bins)
         rate_r = sys_cfg.b * mi
-        psd = metrics_mod.welch_psd(y_p[window], fs)
+        psd = metrics_mod.welch_psd(y_p[sys_cfg.window], fs)
         b_pa = metrics_mod.occupied_bandwidth(psd, sys_cfg.fc())
         return metrics_mod.LinkMetrics.from_measurements(
             mi, rate_r, b_pa, p_pa, p_t, sigma_n2 / sys_cfg.b, ch_cfg.alpha)

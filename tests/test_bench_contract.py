@@ -44,9 +44,10 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
     # Every traced name below the dispatchers gets a call in one short run_link
     # per variant, except three that stay callable and traced: zoh_hold, kept
     # only for perfbench; iir_filter, which pa calls under its own import; and
-    # add_awgn, since run_link adds the cached receiver noise instead. The
-    # cache is cleared first, so its draw runs whatever ran before.
-    pipeline._rx_noise.cache_clear()
+    # add_awgn, since run_link adds the noise that _lowpass_and_noise caches
+    # after the receive front end. The cache is cleared first, so its lowpass
+    # design and noise draw run whatever ran before.
+    pipeline._lowpass_and_noise.cache_clear()
     calls = {}
     for module, attr in _constant("TRACED"):
         if (module, attr) in (("cli", "main"), ("optimizer", "grid_search")):

@@ -1,13 +1,17 @@
-"""The package's modules import each other without a cycle.
+"""The package's modules import each other without a cycle, and its
+settable values are the ones counted here.
 
 The graph is built from each module's `from . import ...` and
 `from .module import ...` statements, read with `ast`, so nothing is imported.
 """
 
 import ast
+import dataclasses
 import os
 
 import onebitlink
+from onebitlink import config, pipeline
+from onebitlink.pa import PaConfig
 
 PACKAGE = os.path.dirname(os.path.abspath(onebitlink.__file__))
 
@@ -68,3 +72,32 @@ def test_find_cycle_reports_a_cycle():
 def test_package_imports_are_acyclic():
     cycle = _find_cycle(_import_graph())
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def _keyword_defaults():
+    """function name -> number of parameters with a default, over the package."""
+    counts = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count = len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+                if count:
+                    counts[f"{name[:-3]}.{getattr(node, 'name', '<lambda>')}"] = count
+    return counts
+
+
+def test_settable_values_are_the_counted_ones():
+    # The ledger of every value a user or a caller can set. A change that adds
+    # or removes a knob edits these counts and says so in CHANGES.md.
+    assert len(config._SCHEMA) == 19
+    assert len(dataclasses.fields(pipeline.SystemConfig)) == 7
+    assert len(dataclasses.fields(config.ExperimentConfig)) == 9
+    assert sum(f.default is not dataclasses.MISSING
+               or f.default_factory is not dataclasses.MISSING
+               for f in dataclasses.fields(PaConfig)) == 2
+    assert _keyword_defaults() == {"cli.main": 1, "optimizer.grid_search": 2}

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from onebitlink import pipeline
+from onebitlink import dsp, pipeline
 from onebitlink.channel import ChannelConfig
 from onebitlink.dsp import ButterworthSpec, RrcSpec
 from onebitlink.errors import ConfigurationError, StageError
@@ -158,11 +158,11 @@ class TestRunLink:
         # bandpass output y_p: about 1.1 complex frames. A load current frame
         # i_L next to a clipped drive kept past the bandpass takes it past two.
         # At 2000 symbols fixed-size buffers weigh more, hence the looser bound.
-        # The receiver noise cache is cleared first, so its draw is counted.
+        # The lowpass-and-noise cache is cleared first, so its draw is counted.
         cases = [("sys2", 2000, 4.5)] + [(v, 10000, 1.6) for v in VARIANTS]
         for variant, n_symbols, bound in cases:
             sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=n_symbols)
-            pipeline._rx_noise.cache_clear()
+            pipeline._lowpass_and_noise.cache_clear()
             tracemalloc.start()
             try:
                 run_link(sys_cfg, pa_cfg, ch_cfg)
@@ -192,14 +192,52 @@ class TestRunLink:
             sys_cfg = SystemConfig(**kwargs)
             pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
             warm = run_link(sys_cfg, pa_cfg, ch_cfg)
-            pipeline._rx_noise.cache_clear()
+            pipeline._lowpass_and_noise.cache_clear()
             cold = run_link(sys_cfg, pa_cfg, ch_cfg)
             assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
 
     def test_receiver_noise_cache_holds_one_entry(self):
         for seed in (1, 2, 3, 1):
-            run_link(*_configs(n_symbols=500, seed=seed))
-            assert pipeline._rx_noise.cache_info().currsize == 1
+            sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=500, seed=seed)
+            run_link(sys_cfg, pa_cfg, ch_cfg)
+            assert pipeline._lowpass_and_noise.cache_info().currsize == 1
+        step = sys_cfg.analog_sps // sys_cfg.adc_sps
+        sos, noise = pipeline._lowpass_and_noise(
+            sys_cfg.seed, sys_cfg.n_symbols * sys_cfg.analog_sps, sys_cfg.lpf, step,
+            sys_cfg.fc(), sys_cfg.fs())
+        assert pipeline._lowpass_and_noise.cache_info().currsize == 1
+        for cached in (sos, noise):
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
+    def test_a_cache_hit_designs_no_lowpass(self, monkeypatch):
+        # Both ends use the cached lowpass; only the bandpass is designed per run.
+        designed = []
+
+        def counted(spec, fs, _fn=dsp.design_butterworth):
+            designed.append(spec.kind)
+            return _fn(spec, fs)
+
+        monkeypatch.setattr(dsp, "design_butterworth", counted)
+        pipeline._lowpass_and_noise.cache_clear()
+        for expected in (["lowpass", "bandpass"], ["bandpass"]):
+            designed.clear()
+            run_link(*_configs(n_symbols=500))
+            assert designed == expected
+
+    def test_run_link_is_its_eight_stages(self, monkeypatch):
+        names = []
+
+        def recorded(name, _fn=pipeline._stage):
+            names.append(name)
+            return _fn(name)
+
+        monkeypatch.setattr(pipeline, "_stage", recorded)
+        for variant in VARIANTS:
+            names.clear()
+            run_link(*_configs(variant=variant, n_symbols=500))
+            assert names == ["source", "tx-shaping", "dac", "pa", "channel", "rx", "align",
+                             "metrics"], variant
 
     def test_stage_error_names_the_stage(self):
         sys_cfg = SystemConfig(n_symbols=2000)
