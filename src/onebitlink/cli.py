@@ -23,21 +23,21 @@ from .metrics import plugin_mi_bias
 CSV_HEADER = "system,ibo,b_bpf_over_b,mi_bits,r_over_b,b_pa_over_b,p_pa,p_t,eta_p,eta_b,fom_norm"
 
 
-def _fmt(x):
-    return "%.6g" % x
-
-
-def _metrics_row(system, ibo, bbpf, m):
-    # Rates and bandwidths are already in units of B (the baud rate is 1).
-    vals = (ibo, bbpf, m.mi, m.rate_r, m.b_pa, m.p_pa, m.p_t,
-            m.eta_p, m.eta_b, m.fom_normalized)
-    return system + "," + ",".join(_fmt(v) for v in vals)
-
-
-def _write_lines(path, lines):
+def _write_table(path, header, rows):
+    """Write the header (if not None), then one line per row: text cells as they
+    are, numbers as %.6g, the six significant digits perfbench/checks.py
+    checks the relations between columns to."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else "%.6g" % c for c in row) + "\n")
+
+
+def _grid_row(system, ibo, bbpf, m):
+    """One run.csv or grid.csv row; rates and bandwidths are in units of B (the baud rate is 1)."""
+    return (system, ibo, bbpf, m.mi, m.rate_r, m.b_pa, m.p_pa, m.p_t,
+            m.eta_p, m.eta_b, m.fom_normalized)
 
 
 def _make_out_dir(path):
@@ -67,7 +67,7 @@ def cmd_run(args):
     _make_out_dir(cfg.out_dir)
     metrics = pipeline.run_link(sys_cfg, pa_cfg, ch_cfg)
     bias = plugin_mi_bias(sys_cfg.mi_bins, sys_cfg.n_symbols - 2 * sys_cfg.rrc.span)
-    print(f"system={cfg.variant} ibo={_fmt(cfg.ibo)} b_bpf={_fmt(cfg.bbpf_over_b)}B "
+    print(f"system={cfg.variant} ibo={cfg.ibo:.6g} b_bpf={cfg.bbpf_over_b:.6g}B "
           f"seed={cfg.seed}")
     print(f"  mi={metrics.mi:.6f} bits  (plug-in bias ~ {bias:.4f})")
     print(f"  r_over_b={metrics.rate_r:.6f}  b_pa_over_b={metrics.b_pa:.6f}")
@@ -75,41 +75,33 @@ def cmd_run(args):
     print(f"  eta_p={metrics.eta_p:.6g}  eta_b={metrics.eta_b:.6g}  "
           f"fom_norm={metrics.fom_normalized:.6g}")
     out_path = os.path.join(cfg.out_dir, "run.csv")
-    _write_lines(out_path, [CSV_HEADER,
-                            _metrics_row(cfg.variant, cfg.ibo, cfg.bbpf_over_b, metrics)])
+    _write_table(out_path, CSV_HEADER,
+                 [_grid_row(cfg.variant, cfg.ibo, cfg.bbpf_over_b, metrics)])
     print(f"wrote {out_path}")
     return 0
 
 
 def _curve_files(points, out_dir):
-    """Write the per-curve CSV files; return fig8's back-off (None if no point succeeded)."""
+    """Write fig4.csv ... fig8.csv; return fig8's back-off (None if no point succeeded)."""
     ok = [p for p in points if p.metrics is not None]
     by_family = sorted(ok, key=lambda p: (p.system, p.b_bpf, p.ibo))
-
-    fig4 = ["system,b_bpf_over_b,ibo,r_over_b"]
-    fig5 = ["system,b_bpf_over_b,ibo,p_pa_over_p_t,b_pa_over_b"]
-    fig6 = ["system,b_bpf_over_b,ibo,fom_norm"]
-    for p in by_family:
-        m = p.metrics
-        head = f"{p.system},{_fmt(p.b_bpf)},{_fmt(p.ibo)}"
-        fig4.append(f"{head},{_fmt(m.rate_r)}")
-        fig5.append(f"{head},{_fmt(m.p_pa / m.p_t)},{_fmt(m.b_pa)}")
-        fig6.append(f"{head},{_fmt(m.fom_normalized)}")
-
-    fig7 = ["system,ibo,b_bpf_over_b,fom_norm"]
-    for p in ok:
-        fig7.append(f"{p.system},{_fmt(p.ibo)},{_fmt(p.b_bpf)},{_fmt(p.metrics.fom_normalized)}")
-
     # sorted, so of two back-offs equally near 0.1 the smaller is taken
     ibo8 = min(sorted({p.ibo for p in ok}), key=lambda v: abs(v - 0.1), default=None)
-    fig8 = ["system,b_bpf_over_b,fom_norm"]
-    for p in by_family:
-        if p.ibo == ibo8:
-            fig8.append(f"{p.system},{_fmt(p.b_bpf)},{_fmt(p.metrics.fom_normalized)}")
-
-    for name, lines in (("fig4.csv", fig4), ("fig5.csv", fig5), ("fig6.csv", fig6),
-                        ("fig7.csv", fig7), ("fig8.csv", fig8)):
-        _write_lines(os.path.join(out_dir, name), lines)
+    family = "system,b_bpf_over_b,ibo,"
+    curves = (  # (file, columns, points in row order, cells of a point and its metrics)
+        ("fig4.csv", family + "r_over_b", by_family,
+         lambda p, m: (p.system, p.b_bpf, p.ibo, m.rate_r)),
+        ("fig5.csv", family + "p_pa_over_p_t,b_pa_over_b", by_family,
+         lambda p, m: (p.system, p.b_bpf, p.ibo, m.p_pa / m.p_t, m.b_pa)),
+        ("fig6.csv", family + "fom_norm", by_family,
+         lambda p, m: (p.system, p.b_bpf, p.ibo, m.fom_normalized)),
+        ("fig7.csv", "system,ibo,b_bpf_over_b,fom_norm", ok,
+         lambda p, m: (p.system, p.ibo, p.b_bpf, m.fom_normalized)),
+        ("fig8.csv", "system,b_bpf_over_b,fom_norm", [p for p in by_family if p.ibo == ibo8],
+         lambda p, m: (p.system, p.b_bpf, m.fom_normalized)),
+    )
+    for name, columns, rows, cells in curves:
+        _write_table(os.path.join(out_dir, name), columns, [cells(p, p.metrics) for p in rows])
     return ibo8
 
 
@@ -120,17 +112,11 @@ def cmd_sweep(args):
     sys_cfg, pa_cfg, ch_cfg = cfg.system_config(), cfg.pa_config(), cfg.channel_config()
     _make_out_dir(cfg.out_dir)
     result = optimizer.grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=jobs)
-
-    rows = [CSV_HEADER]
-    for p in result.points:
-        if p.metrics is not None:
-            rows.append(_metrics_row(p.system, p.ibo, p.b_bpf, p.metrics))
-    _write_lines(os.path.join(cfg.out_dir, "grid.csv"), rows)
-
-    failures = [f"{p.system},{_fmt(p.ibo)},{_fmt(p.b_bpf)},{p.error}"
-                for p in result.failures()]
-    _write_lines(os.path.join(cfg.out_dir, "failures.log"), failures)
-
+    _write_table(os.path.join(cfg.out_dir, "grid.csv"), CSV_HEADER,
+                 [_grid_row(p.system, p.ibo, p.b_bpf, p.metrics)
+                  for p in result.points if p.metrics is not None])
+    _write_table(os.path.join(cfg.out_dir, "failures.log"), None,
+                 [(p.system, p.ibo, p.b_bpf, p.error) for p in result.failures()])
     ibo8 = _curve_files(result.points, cfg.out_dir)
     for system in sorted(grid.systems):
         if system not in result.argmax:
@@ -141,11 +127,11 @@ def cmd_sweep(args):
     n_ok = len(result.points) - len(result.failures())
     print(f"evaluated {len(result.points)} grid points ({n_ok} ok, "
           f"{len(result.failures())} failed) with jobs={result.workers}")
-    print(f"curve files fig4..fig8 written to {cfg.out_dir} (fig8 at ibo={_fmt(ibo8)})")
+    print(f"curve files fig4..fig8 written to {cfg.out_dir} (fig8 at ibo={ibo8:.6g})")
     for system in sorted(result.argmax):
         ibo_opt, bbpf_opt, fom = result.argmax[system]
-        print(f"argmax {system}: ibo_opt={_fmt(ibo_opt)} bbpf_opt={_fmt(bbpf_opt)}B "
-              f"fom_norm={_fmt(fom)}")
+        print(f"argmax {system}: ibo_opt={ibo_opt:.6g} bbpf_opt={bbpf_opt:.6g}B "
+              f"fom_norm={fom:.6g}")
     return 0
 
 
@@ -154,10 +140,8 @@ def cmd_amam(args):
     _make_out_dir(out_dir)
     amplitudes = np.logspace(np.log10(0.01), np.log10(10.0), 200)
     curve = pa.am_am_curve(1.0, amplitudes)
-    lines = ["a_over_vsat,f_over_vsat"]
-    lines += [f"{_fmt(a)},{_fmt(v)}" for a, v in zip(amplitudes, curve)]
     path = os.path.join(out_dir, "fig3.csv")
-    _write_lines(path, lines)
+    _write_table(path, "a_over_vsat,f_over_vsat", zip(amplitudes, curve))
     print(f"wrote {path} (200 log-spaced amplitudes, saturation-normalized)")
     return 0
 

@@ -14,7 +14,6 @@ form `lo:step:hi` (inclusive, at most optimizer.MAX_GRID_POINTS values) is
 also accepted (`grid.bbpf = 0.4:0.1:2.0`). Every float must be finite.
 """
 
-import argparse
 import math
 from dataclasses import dataclass, field
 
@@ -25,23 +24,22 @@ from .errors import ConfigurationError
 
 
 # finite_float and output_dir double as argparse types, like
-# optimizer.worker_count, and argparse prints an ArgumentTypeError's message
-# (a ConfigurationError is one) as is: a flag and a key report the same reason.
+# optimizer.worker_count: a flag and a key report the same reason.
 def finite_float(text):
     """float(text), rejecting nan and +-inf."""
     try:
         value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise ConfigurationError(str(exc)) from exc
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a finite number")
+        raise ConfigurationError(f"{text.strip()!r} is not a finite number")
     return value
 
 
 def output_dir(text):
     """A nonempty output directory path."""
     if not text:
-        raise argparse.ArgumentTypeError("output directory must not be empty")
+        raise ConfigurationError("output directory must not be empty")
     return text
 
 
@@ -155,7 +153,7 @@ def parse_config_text(text):
         owner, name, conv = _SCHEMA[key]
         try:
             value = conv(value)
-        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         (fields if owner is None else owned.setdefault(owner, {}))[name] = value
     return ExperimentConfig(owned=owned, **fields)

@@ -148,8 +148,9 @@ def occupied_bandwidth(psd, fc):
     """Smallest bandwidth around fc containing 93.75% of the total power (the b_pa definition).
 
     The PSD is integrated bin-wise with linear interpolation at the band
-    edges; the width is solved by bisection, so the result is exact for the
-    interpolated cumulative integral.
+    edges, so the power within +-d of fc is linear in d between the knots
+    where fc +- d meets a bin edge: the width is read off the knot powers
+    exactly, with one interpolation.
     """
     if psd.total_power <= 0.0:
         raise ValueError("occupied bandwidth of a zero-power PSD is undefined")
@@ -160,17 +161,9 @@ def occupied_bandwidth(psd, fc):
     edges = np.concatenate([f - df / 2.0, [f[-1] + df / 2.0]])
     edges[0] = max(edges[0], 0.0)
     cum = np.concatenate([[0.0], np.cumsum(psd.values) * df])
-
-    def band_power(width):
-        return (np.interp(fc + width / 2.0, edges, cum)
-                - np.interp(fc - width / 2.0, edges, cum))
-
+    d = np.unique(np.concatenate([[0.0], np.abs(edges - fc)]))  # the knots, sorted
+    power = np.interp(fc + d, edges, cum) - np.interp(fc - d, edges, cum)
     target = 0.9375 * psd.total_power
-    lo, hi = 0.0, 2.0 * (edges[-1] - edges[0])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if band_power(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = np.searchsorted(power, target)  # power[k - 1] < target <= power[k]
+    return 2.0 * (d[k - 1] + (d[k] - d[k - 1]) * (target - power[k - 1])
+                  / (power[k] - power[k - 1]))

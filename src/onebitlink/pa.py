@@ -17,6 +17,11 @@ from .errors import ConfigurationError
 # transmit-to-battery power ratio p_t/p_pa by 4/pi.
 HARMONIC_BOUND = 4.0 / np.pi
 
+# Smallest back-off. Once the drive clips hard, p_pa and p_t scale as ibo^2 and
+# eta_p (so the FOM) as ibo^-2: at r_load 1, eta_p overflows at 1e-154 and p_t
+# is 0 at 1e-162.
+MIN_IBO = 1e-150
+
 
 @dataclass(frozen=True)
 class PaConfig:
@@ -32,8 +37,8 @@ class PaConfig:
     r_load: float = 1.0
 
     def __post_init__(self):
-        if self.ibo <= 0:
-            raise ConfigurationError(f"ibo must be positive, got {self.ibo}")
+        if self.ibo < MIN_IBO:
+            raise ConfigurationError(f"ibo must be at least {MIN_IBO:g}, got {self.ibo}")
         if self.r_load <= 0:
             raise ConfigurationError(f"r_load must be positive, got {self.r_load}")
         if self.bpf.kind != "bandpass":

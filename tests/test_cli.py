@@ -166,6 +166,24 @@ class TestBadInput:
         assert f"bandpass width must be positive, got {width} B" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("ibo", ["1e-160", "1e-162"])
+    def test_run_back_off_below_the_float_range_exits_1(self, tmp_path, capsys, ibo):
+        # Below 1e-150 the powers (as ibo^2) and eta_p (as ibo^-2) leave the float range.
+        rc = cli.main(["run", "--ibo", ibo, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"ibo must be at least 1e-150, got {float(ibo)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_back_off_below_the_float_range_is_a_failed_sweep_point(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 1e-160, 0.1\ngrid.bbpf = 0.9\n"
+                         + "grid.systems = sys2\n")
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert "(1 ok, 1 failed)" in capsys.readouterr().out
+        failures = (tmp_path / "o" / "failures.log").read_text().splitlines()
+        assert failures == ["sys2,1e-160,0.9,ConfigurationError: "
+                            "ibo must be at least 1e-150, got 1e-160"]
+
     def test_key_set_twice_exits_1(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, FAST_CFG + "seed = 1\nseed = 5\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -120,6 +120,23 @@ class TestOccupiedBandwidth:
         width = occupied_bandwidth(psd, fc=30.0)
         assert np.isclose(width, 0.9375 * 2.0, rtol=1e-3)
 
+    def test_width_holds_the_target_power_exactly(self):
+        # The band power of the bin-wise integral, interpolated at the band
+        # edges, reaches 93.75% of the total at the returned width, not before.
+        freqs = np.linspace(0.0, 64.0, 2049)
+        values = np.random.default_rng(3).random(len(freqs)) * np.exp(-np.abs(freqs - 30.0))
+        df = freqs[1] - freqs[0]
+        psd = PsdEstimate(freqs=freqs, values=values, total_power=float(np.sum(values) * df))
+        edges = np.concatenate([[0.0], freqs[1:] - df / 2.0, [freqs[-1] + df / 2.0]])
+        cum = np.concatenate([[0.0], np.cumsum(values) * df])
+
+        def band_power(width):
+            return np.interp(30.0 + width / 2, edges, cum) - np.interp(30.0 - width / 2, edges, cum)
+
+        width = occupied_bandwidth(psd, fc=30.0)
+        assert band_power(width) == pytest.approx(0.9375 * psd.total_power, rel=1e-12)
+        assert band_power(width * (1.0 - 1e-9)) < 0.9375 * psd.total_power
+
     def test_carrier_outside_psd_rejected(self):
         freqs = np.linspace(0.0, 64.0, 1024)
         psd = PsdEstimate(freqs=freqs, values=np.ones_like(freqs), total_power=64.0)

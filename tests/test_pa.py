@@ -3,7 +3,7 @@ import pytest
 
 from onebitlink.dsp import ButterworthSpec, design_butterworth
 from onebitlink.errors import ConfigurationError
-from onebitlink.pa import (HARMONIC_BOUND, PaConfig, am_am_curve,
+from onebitlink.pa import (HARMONIC_BOUND, MIN_IBO, PaConfig, am_am_curve,
                            bandpass_reconstruct, clip, pa_power, transmit_power)
 
 # first harmonic of a clipped unit cosine, (2/pi)(asin r + r sqrt(1-r^2))
@@ -93,6 +93,9 @@ def test_pa_config_validation():
     bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=bpf, ibo=0.0)
+    with pytest.raises(ConfigurationError, match="ibo must be at least 1e-150"):
+        PaConfig(bpf=bpf, ibo=MIN_IBO / 2)
+    assert PaConfig(bpf=bpf, ibo=MIN_IBO).ibo == MIN_IBO
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=bpf, r_load=-1.0)
     with pytest.raises(ConfigurationError):

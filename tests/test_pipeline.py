@@ -11,7 +11,7 @@ from onebitlink import dsp, pipeline
 from onebitlink.channel import ChannelConfig
 from onebitlink.dsp import ButterworthSpec, RrcSpec
 from onebitlink.errors import ConfigurationError, StageError
-from onebitlink.pa import PaConfig
+from onebitlink.pa import MIN_IBO, PaConfig
 from onebitlink.pipeline import (MAX_FRAME_SAMPLES, QPSK_ALPHABET, VARIANTS, SystemConfig,
                                  bpf_spec_for, draw_symbols, run_link)
 
@@ -95,6 +95,14 @@ class TestRunLink:
         powers = [run_link(*_configs(n_symbols=2000, ibo=v)).p_pa
                   for v in (0.0316, 0.1, 1.0, 10.0)]
         assert all(p2 >= p1 for p1, p2 in zip(powers, powers[1:]))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_smallest_back_off_gives_finite_metrics(self, variant):
+        # LinkMetrics rejects non-finite values; the FOM does not depend on the scale.
+        tiny = run_link(*_configs(variant, n_symbols=600, ibo=MIN_IBO))
+        small = run_link(*_configs(variant, n_symbols=600, ibo=1e-30))
+        assert tiny.p_t > 0 and np.isfinite(tiny.fom)
+        assert tiny.fom_normalized == pytest.approx(small.fom_normalized, rel=1e-9)
 
     def test_occupied_bandwidth_shrinks_with_narrower_bpf(self):
         widths = [run_link(*_configs(n_symbols=2000, bbpf=w)).b_pa
@@ -269,7 +277,7 @@ def test_configs_are_frozen():
 _CPU_PER_WALL = """
 import resource, time
 from onebitlink.channel import ChannelConfig
-from onebitlink.pa import PaConfig
+from onebitlink.pa import MIN_IBO, PaConfig
 from onebitlink.pipeline import VARIANTS, SystemConfig, bpf_spec_for, run_link
 def cpu():
     r = resource.getrusage(resource.RUSAGE_SELF)
