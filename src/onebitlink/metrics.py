@@ -136,7 +136,10 @@ def welch_psd(x, fs):
     values = np.zeros(PSD_SEGMENT_LEN // 2 + 1)
     for start in range(0, n_seg, _PSD_BLOCK_SEGMENTS):
         spec = sp_fft.rfft(segments[start:start + _PSD_BLOCK_SEGMENTS] * window, axis=-1)
-        values += np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
+        power = np.square(spec.real)
+        power += np.square(spec.imag, out=spec.imag)
+        values += np.sum(power, axis=0)
+        del spec, power  # before the next block's transform allocates its own
     values /= fs * np.sum(window ** 2) * n_seg
     values[1:-1] *= 2.0  # one-sided; the even segment length puts Nyquist in the last bin
     freqs = np.fft.rfftfreq(PSD_SEGMENT_LEN, 1.0 / fs)

@@ -32,7 +32,7 @@ _VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (Fa
 VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
-# run's traced peak is about 1.1 complex frames (1.05-1.10 for sys1-3 at the
+# run's traced peak is about 0.8 complex frames (0.80-0.82 for sys1-3 at the
 # default frame with the _lowpass_and_noise cache cleared).
 MAX_FRAME_SAMPLES = 2 ** 24
 
@@ -191,12 +191,11 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
                              sys_cfg.fc(), fs)
 
     with _stage("pa"):
-        wave /= np.sqrt(np.mean(np.square(wave[sys_cfg.window])))  # x_p, unit RMS
+        wave /= np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window]))  # x_p, unit RMS
         v_sat = pa_cfg.ibo  # so the saturation voltage is the back-off itself
-        wave = pa_mod.clip(wave, v_sat)  # v_t
         bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
-        y_p = pa_mod.bandpass_reconstruct(wave, bpf_sos)
-        del wave
+        # Clipped (v_t) and filtered in place: y_p is the drive's own buffer.
+        y_p = pa_mod.bandpass_reconstruct(pa_mod.clip(wave, v_sat), bpf_sos)
         p_pa = pa_mod.pa_power(y_p, v_sat, pa_cfg.r_load, sys_cfg.window)
         p_t = pa_mod.transmit_power(y_p, pa_cfg.r_load, sys_cfg.window)
 

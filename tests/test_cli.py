@@ -174,6 +174,17 @@ class TestBadInput:
         assert f"ibo must be at least 1e-150, got {float(ibo)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("r_load", ["1e306", "1e-320"])
+    def test_run_load_outside_the_float_range_exits_1(self, tmp_path, capsys, r_load):
+        # The powers go as min(ibo, 1)^2 / r_load: at 1e306 eta_p overflows, at
+        # 1e-320 p_pa does.
+        cfg = _write_cfg(tmp_path, FAST_CFG + f"pa.r_load = {r_load}\n")
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"r_load={float(r_load):g} at ibo 0.1 puts the power scale" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_back_off_below_the_float_range_is_a_failed_sweep_point(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 1e-160, 0.1\ngrid.bbpf = 0.9\n"
                          + "grid.systems = sys2\n")

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from onebitlink.dsp import ButterworthSpec, design_butterworth
 from onebitlink.errors import ConfigurationError
-from onebitlink.pa import (HARMONIC_BOUND, MIN_IBO, PaConfig, am_am_curve,
-                           bandpass_reconstruct, clip, pa_power, transmit_power)
+from onebitlink.pa import (_BLOCK, HARMONIC_BOUND, MIN_IBO, PaConfig, am_am_curve,
+                           bandpass_reconstruct, clip, mean_of, pa_power,
+                           transmit_power)
 
 # first harmonic of a clipped unit cosine, (2/pi)(asin r + r sqrt(1-r^2))
 FIRST_HARMONIC_AT_HALF = 0.6089977810442294
@@ -19,10 +23,41 @@ def test_harmonic_bound_constant():
 def test_clip_bound_is_exact():
     rng = np.random.default_rng(2)
     x = 3.0 * rng.standard_normal(10000)
-    y = clip(x, 0.7)
+    y = clip(x.copy(), 0.7)
     assert np.max(np.abs(y)) <= 0.7
     inside = np.abs(x) <= 0.7
     np.testing.assert_allclose(y[inside], x[inside])
+
+
+def test_clip_and_bandpass_work_in_place():
+    x = 3.0 * np.random.default_rng(3).standard_normal(1000)
+    sos = design_butterworth(ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55,
+                                             cutoff_high=30.45), fs=128.0)
+    assert clip(x, 0.7) is x and np.max(np.abs(x)) <= 0.7
+    assert bandpass_reconstruct(x, sos) is x
+
+
+@pytest.mark.parametrize("order", [4, 16])
+def test_blockwise_bandpass_has_the_bits_of_one_sosfilt_call(order):
+    # Two whole blocks and a partial one: the section state crosses each seam.
+    x = np.random.default_rng(order).standard_normal(2 * _BLOCK + 12345)
+    sos = design_butterworth(ButterworthSpec(order=order, kind="bandpass", cutoff_low=29.55,
+                                             cutoff_high=30.45), fs=128.0)
+    expected = sig.sosfilt(sos, x)
+    assert np.array_equal(bandpass_reconstruct(x, sos), expected)
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 3 * _BLOCK + 13, 1275904])
+def test_blockwise_powers_match_whole_frame_means(n):
+    # mean_of splits as numpy's pairwise sum does, so it keeps np.mean's bits.
+    y = np.random.default_rng(n).standard_normal(n + 5)[5:]
+    for fn in (np.abs, np.square):
+        assert mean_of(fn, y) == np.mean(fn(y))
+    window = slice(1000, n - 999)
+    np.testing.assert_allclose(pa_power(y, 1.0, 1.0, window), np.mean(np.abs(y[window])),
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(transmit_power(y, 1.0, window), np.mean(y[window] * y[window]),
+                               rtol=1e-13, atol=0)
 
 
 def test_first_harmonic_oracle_values():
@@ -98,5 +133,11 @@ def test_pa_config_validation():
     assert PaConfig(bpf=bpf, ibo=MIN_IBO).ibo == MIN_IBO
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=bpf, r_load=-1.0)
+    for r_load in (1e306, 1e-320):
+        with pytest.raises(ConfigurationError, match=re.escape(f"r_load={r_load:g} at ibo 0.1")):
+            PaConfig(bpf=bpf, ibo=0.1, r_load=r_load)
+    for r_load in (1e-3, 1.0, 1e3):
+        for ibo in (MIN_IBO, 0.1, 10.0):
+            assert PaConfig(bpf=bpf, ibo=ibo, r_load=r_load).r_load == r_load
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=ButterworthSpec(order=4, kind="lowpass", cutoff_high=1.0))
