@@ -3,16 +3,21 @@
 The receiver-side interference of adjacent channels is bookkept as a fixed
 multiple of the thermal noise power (interference_ratio), so the calibration
 solves alpha * p_t / ((1 + ratio) * sigma_n^2) = 10^(sinr_db/10) for sigma_n^2.
+The solution is the received power alpha * p_t times ChannelConfig.noise_ratio.
 Only the thermal term is injected into the waveform; the interferers exist in
 the budget, not in the simulation.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+# Range of the noise ratio, +-2900 dB of SINR at interference_ratio 0. A noise
+# sample's square is about the ratio times fs / 2B (below 2^23 within the frame
+# limit), and the receiver sums such squares over up to 2^24 samples.
+NOISE_RATIO_RANGE = (1e-290, 1e290)
 
 
 @dataclass(frozen=True)
@@ -22,27 +27,25 @@ class ChannelConfig:
     interference_ratio: float = 2.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ConfigurationError(f"channel gain alpha must be positive, got {self.alpha}")
         if self.interference_ratio < 0:
             raise ConfigurationError(
                 f"interference_ratio must be nonnegative, got {self.interference_ratio}")
-        # calibrate_noise scales p_t by this factor; it must stay a usable number.
+        low, high = NOISE_RATIO_RANGE
         try:
-            factor = calibrate_noise(1.0, self)
+            ratio = self.noise_ratio()
         except (OverflowError, ZeroDivisionError):  # 10**x overflowed, or underflowed to 0
-            factor = math.inf
-        if not 0.0 < factor < math.inf:
+            ratio = float("nan")
+        if not low <= ratio <= high:
             raise ConfigurationError(
-                f"alpha={self.alpha}, interference_ratio={self.interference_ratio} and "
-                f"sinr_db={self.sinr_db} give no positive finite noise calibration factor")
+                f"interference_ratio={self.interference_ratio} and sinr_db={self.sinr_db} put "
+                f"the noise ratio 1 / ((1 + interference_ratio) 10^(sinr_db/10)) outside "
+                f"[{low:g}, {high:g}]")
 
-
-def calibrate_noise(p_t, cfg):
-    """In-band noise power sigma_n^2 that realizes cfg.sinr_db for transmit power p_t."""
-    if p_t <= 0:
-        raise ValueError(f"transmit power must be positive, got {p_t}")
-    return cfg.alpha * p_t / ((1.0 + cfg.interference_ratio) * 10.0 ** (cfg.sinr_db / 10.0))
+    def noise_ratio(self):
+        """sigma_n^2 / (alpha p_t): the noise power realizing sinr_db per unit received power."""
+        return 1.0 / ((1.0 + self.interference_ratio) * 10.0 ** (self.sinr_db / 10.0))
 
 
 def noise_scale(sigma_n2, b, fs):

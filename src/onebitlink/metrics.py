@@ -65,9 +65,10 @@ class LinkMetrics:
             raise ValueError(f"mutual information {self.mi} outside [0, 2]")
 
     @classmethod
-    def from_measurements(cls, mi, rate_r, b_pa, p_pa, p_t, n0, alpha):
+    def from_measurements(cls, mi, rate_r, b_pa, p_pa, p_t, noise_ratio):
         """The row with its efficiencies: eta_p = R/p_pa, eta_b = R/b_pa,
-        fom = eta_p * eta_b and fom_normalized = fom * n0 / alpha."""
+        fom = eta_p * eta_b and fom_normalized = fom * n0 / alpha, where the
+        noise density per unit of received power is noise_ratio = n0 / (alpha * p_t)."""
         if p_pa <= 0:
             raise ValueError(f"p_pa must be positive, got {p_pa}")
         if b_pa <= 0:
@@ -76,7 +77,7 @@ class LinkMetrics:
         eta_b = rate_r / b_pa
         fom = eta_p * eta_b
         return cls(mi=mi, rate_r=rate_r, b_pa=b_pa, p_pa=p_pa, p_t=p_t, eta_p=eta_p,
-                   eta_b=eta_b, fom=fom, fom_normalized=fom * n0 / alpha)
+                   eta_b=eta_b, fom=fom, fom_normalized=fom * p_t * noise_ratio)
 
 
 def mutual_information(tx, rx_aligned, bins_per_dim):

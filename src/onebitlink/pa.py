@@ -3,8 +3,10 @@
 The amplifier is a memoryless hard clipper on the passband waveform followed
 by a bandpass reconstruction filter. Battery draw is computed from the load
 current i_L = y_p / r_load as v_sat * mean|i_L|, transmit power as mean(i_L * y_p).
+The chain runs the amplifier on y = y_p / min(ibo, 1), of order 1 at every
+back-off, so the back-off's size and r_load enter only PaConfig.power_factors.
 The clipper and the filter work in place and the powers are summed a block at
-a time, so the stage holds one frame: the drive's buffer becomes y_p.
+a time, so the stage holds one frame: the drive's buffer becomes y.
 """
 
 from dataclasses import dataclass
@@ -20,15 +22,10 @@ from .errors import ConfigurationError
 # transmit-to-battery power ratio p_t/p_pa by 4/pi.
 HARMONIC_BOUND = 4.0 / np.pi
 
-# Smallest back-off. The clipped waveform is of size ibo, so its squares (p_t)
-# leave the normal floats near ibo 1e-154 and are 0 at 1e-162.
-MIN_IBO = 1e-150
-
-# Range of the power scale min(ibo, 1)^2 / r_load. p_t is about that scale and,
-# up to ibo 1, so is p_pa, while eta_p (so the FOM) goes as its inverse: at
-# ibo 0.1, r_load 1e306 (scale 1e-308) overflows eta_p, and r_load 1e-320
-# overflows the scale itself.
-POWER_SCALE_RANGE = (1e-304, 1e304)
+# Range of both power factors. p_pa and p_t are the factors times means of
+# order 1, and eta_p (so the FOM) goes as the inverse of p_pa; the range leaves
+# eight decades for each. At r_load 1 its floor is ibo^2 >= 1e-300.
+POWER_FACTOR_RANGE = (1e-300, 1e300)
 
 # Samples per block of the in-place bandpass and of the power sums.
 _BLOCK = 2 ** 16
@@ -48,18 +45,22 @@ class PaConfig:
     r_load: float = 1.0
 
     def __post_init__(self):
-        if self.ibo < MIN_IBO:
-            raise ConfigurationError(f"ibo must be at least {MIN_IBO:g}, got {self.ibo}")
-        if self.r_load <= 0:
-            raise ConfigurationError(f"r_load must be positive, got {self.r_load}")
-        low, high = POWER_SCALE_RANGE
-        scale = min(self.ibo, 1.0) ** 2 / self.r_load
-        if not low <= scale <= high:
+        if not (self.ibo > 0 and self.r_load > 0):
+            raise ConfigurationError(f"ibo and r_load must be positive: {self.ibo}, {self.r_load}")
+        low, high = POWER_FACTOR_RANGE
+        _, f_pa, f_t = self.power_factors()
+        if not (low <= f_pa <= high and low <= f_t <= high):
             raise ConfigurationError(
-                f"r_load={self.r_load:g} at ibo {self.ibo:g} puts the power scale "
-                f"min(ibo, 1)^2 / r_load = {scale:g} outside [{low:g}, {high:g}]")
+                f"ibo={self.ibo:g} and r_load={self.r_load:g} put the power factors "
+                f"{f_pa:g} (p_pa) and {f_t:g} (p_t) outside [{low:g}, {high:g}]")
         if self.bpf.kind != "bandpass":
             raise ConfigurationError("pa reconstruction filter must be a bandpass design")
+
+    def power_factors(self):
+        """(s, f_pa, f_t): the chain divides its unit-RMS drive by s = min(ibo, 1) and clips
+        it at ibo / s, so y = y_p / s, p_pa = f_pa * mean|y| and p_t = f_t * mean(y^2)."""
+        s = min(self.ibo, 1.0)
+        return s, self.ibo / self.r_load * s, s / self.r_load * s
 
 
 def clip(x_p, v_sat):
@@ -84,31 +85,18 @@ def bandpass_reconstruct(v_t, sos):
 
 
 def mean_of(fn, x):
-    """np.mean(fn(x)) for an elementwise fn, to the bit, without a len(x) temporary.
-
-    numpy sums a contiguous array pairwise: it halves the length (rounded
-    down to a multiple of 8) until a piece fits its unrolled loop. Splitting
-    the same way down to _BLOCK samples and summing each piece with numpy
-    repeats that tree, so only the additions' grouping into calls changes.
-    """
-    def total(piece):
-        n = len(piece)
-        if n <= _BLOCK:
-            return np.add.reduce(fn(piece))
-        half = n // 2 - n // 2 % 8
-        return total(piece[:half]) + total(piece[half:])
-
-    return total(x) / len(x)
+    """The mean of fn(x) for an elementwise fn, summed a _BLOCK at a time: no len(x) temporary."""
+    return sum(np.add.reduce(fn(x[i:i + _BLOCK])) for i in range(0, len(x), _BLOCK)) / len(x)
 
 
-def pa_power(y_p, v_sat, r_load, window):
-    """Battery draw p_pa = v_sat * mean|i_L|, i_L = y_p / r_load, over the measurement window."""
-    return v_sat * mean_of(np.abs, y_p[window]) / r_load
+def pa_power(y, window):
+    """mean|y| over the measurement window; p_pa is f_pa times it (PaConfig.power_factors)."""
+    return mean_of(np.abs, y[window])
 
 
-def transmit_power(y_p, r_load, window):
-    """Average delivered power p_t = mean(i_L * y_p) = mean(y_p^2) / r_load over the window."""
-    return mean_of(np.square, y_p[window]) / r_load
+def transmit_power(y, window):
+    """mean(y^2) over the measurement window; p_t is f_t times it (PaConfig.power_factors)."""
+    return mean_of(np.square, y[window])
 
 
 def am_am_curve(v_sat, amplitudes):

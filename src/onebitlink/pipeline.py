@@ -191,25 +191,29 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
                              sys_cfg.fc(), fs)
 
     with _stage("pa"):
-        wave /= np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window]))  # x_p, unit RMS
-        v_sat = pa_cfg.ibo  # so the saturation voltage is the back-off itself
+        # x_p at unit RMS (so v_sat is ibo), divided by s. Below s ~ 1e-308 peaks
+        # overflow to inf, which the clip takes to ibo / s like the rest.
+        s, f_pa, f_t = pa_cfg.power_factors()
+        with np.errstate(over="ignore"):
+            wave /= np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])) * s
         bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
-        # Clipped (v_t) and filtered in place: y_p is the drive's own buffer.
-        y_p = pa_mod.bandpass_reconstruct(pa_mod.clip(wave, v_sat), bpf_sos)
-        p_pa = pa_mod.pa_power(y_p, v_sat, pa_cfg.r_load, sys_cfg.window)
-        p_t = pa_mod.transmit_power(y_p, pa_cfg.r_load, sys_cfg.window)
+        # Clipped and filtered in place: y is the drive's own buffer.
+        y = pa_mod.bandpass_reconstruct(pa_mod.clip(wave, pa_cfg.ibo / s), bpf_sos)
+        mean_square = pa_mod.transmit_power(y, sys_cfg.window)
+        p_pa = f_pa * pa_mod.pa_power(y, sys_cfg.window)
+        p_t = f_t * mean_square
 
     with _stage("channel"):
-        sigma_n2 = channel_mod.calibrate_noise(p_t, ch_cfg)
-        # sigma_n2 is a power and the receiver sees alpha * p_t; the noise adds
-        # to the voltage y_p, whose mean square is r_load * p_t.
-        scale = channel_mod.noise_scale(sigma_n2 * pa_cfg.r_load / ch_cfg.alpha, sys_cfg.b, fs)
+        # The noise that realizes the SINR is noise_ratio times the received
+        # power alpha * p_t, whatever alpha and r_load: on y, times mean(y^2).
+        noise_ratio = ch_cfg.noise_ratio()
+        scale = channel_mod.noise_scale(noise_ratio * mean_square, sys_cfg.b, fs)
 
     with _stage("rx"):
         # Mixer and lowpass in one block-rate kernel: no frame-length baseband.
         # The kernel is linear, so the noise joins at its output and the
-        # received frame y_p + noise is never built.
-        rx = dsp.downconvert(y_p, lpf_sos, step, sys_cfg.fc(), fs) + scale * noise
+        # received frame y + noise is never built.
+        rx = dsp.downconvert(y, lpf_sos, step, sys_cfg.fc(), fs) + scale * noise
         if sys_cfg.one_bit:
             rx = quantizers.one_bit_quantize(rx)
         rx = dsp.fir_filter(rx, taps)  # matched filter, at adc_sps
@@ -224,10 +228,10 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     with _stage("metrics"):
         mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep], sys_cfg.mi_bins)
         rate_r = sys_cfg.b * mi
-        psd = metrics_mod.welch_psd(y_p[sys_cfg.window], fs)
+        psd = metrics_mod.welch_psd(y[sys_cfg.window], fs)
         b_pa = metrics_mod.occupied_bandwidth(psd, sys_cfg.fc())
         return metrics_mod.LinkMetrics.from_measurements(
-            mi, rate_r, b_pa, p_pa, p_t, sigma_n2 / sys_cfg.b, ch_cfg.alpha)
+            mi, rate_r, b_pa, p_pa, p_t, noise_ratio / sys_cfg.b)
 
 
 def bpf_spec_for(bbpf_over_b, sys_cfg, order):

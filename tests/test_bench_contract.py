@@ -42,11 +42,11 @@ def test_traced_functions_resolve():
 
 def test_traced_stages_are_the_ones_that_run(monkeypatch):
     # Every traced name below the dispatchers gets a call in one short run_link
-    # per variant, except three that stay callable and traced: zoh_hold, kept
-    # only for perfbench; iir_filter, which pa calls under its own import; and
-    # add_awgn, since run_link adds the noise that _lowpass_and_noise caches
-    # after the receive front end. The cache is cleared first, so its lowpass
-    # design and noise draw run whatever ran before.
+    # per variant, except three that stay callable and traced: zoh_hold and
+    # iir_filter, kept only for perfbench (the pa bandpass calls sosfilt block
+    # by block itself); and add_awgn, since run_link adds the noise that
+    # _lowpass_and_noise caches after the receive front end. The cache is
+    # cleared first, so its lowpass design and noise draw run whatever ran before.
     pipeline._lowpass_and_noise.cache_clear()
     calls = {}
     for module, attr in _constant("TRACED"):

@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
-from onebitlink.channel import ChannelConfig, add_awgn, calibrate_noise
+from onebitlink.channel import ChannelConfig, add_awgn
 from onebitlink.errors import ConfigurationError
+from onebitlink.pa import PaConfig
+from onebitlink.pipeline import SystemConfig, bpf_spec_for, run_link
 
 
 def test_default_calibration_is_p_t_over_30():
     # alpha=1, 10 dB target, interference booked at twice the noise power:
     # sigma_n^2 = p_t / ((1+2) * 10)
     cfg = ChannelConfig()
-    assert np.isclose(calibrate_noise(0.6, cfg), 0.02)
+    assert np.isclose(cfg.alpha * 0.6 * cfg.noise_ratio(), 0.02)
 
 
 def test_calibration_scales():
     cfg = ChannelConfig(alpha=2.0, sinr_db=0.0, interference_ratio=0.0)
-    assert np.isclose(calibrate_noise(0.5, cfg), 1.0)
-
-
-def test_calibration_rejects_nonpositive_power():
-    with pytest.raises(ValueError):
-        calibrate_noise(0.0, ChannelConfig())
+    assert np.isclose(cfg.alpha * 0.5 * cfg.noise_ratio(), 1.0)
 
 
 def test_config_validation():
@@ -27,12 +24,17 @@ def test_config_validation():
         ChannelConfig(alpha=0.0)
     with pytest.raises(ConfigurationError):
         ChannelConfig(interference_ratio=-0.5)
-    # Settings whose noise calibration factor alpha / ((1 + ratio) 10^(sinr_db/10))
-    # overflows to inf or to 0.
-    for kwargs in (dict(sinr_db=-3200.0), dict(alpha=1e308, sinr_db=-10.0),
+    # Settings whose noise ratio 1 / ((1 + ratio) 10^(sinr_db/10)) leaves its
+    # range, or overflows to inf or to 0.
+    for kwargs in (dict(sinr_db=-3200.0), dict(sinr_db=-2950.0), dict(sinr_db=4000.0),
                    dict(interference_ratio=1e308)):
-        with pytest.raises(ConfigurationError, match="calibration factor"):
+        with pytest.raises(ConfigurationError, match="noise ratio"):
             ChannelConfig(**kwargs)
+    # The path gain enters no arithmetic, so no size of it overflows a run.
+    sys_cfg = SystemConfig(n_symbols=600)
+    m = run_link(sys_cfg, PaConfig(bpf=bpf_spec_for(0.9, sys_cfg, 4)),
+                 ChannelConfig(alpha=1e308, sinr_db=-10.0))
+    assert np.isfinite(m.fom_normalized)
 
 
 def test_zero_noise_is_identity():

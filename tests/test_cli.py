@@ -168,20 +168,22 @@ class TestBadInput:
 
     @pytest.mark.parametrize("ibo", ["1e-160", "1e-162"])
     def test_run_back_off_below_the_float_range_exits_1(self, tmp_path, capsys, ibo):
-        # Below 1e-150 the powers (as ibo^2) and eta_p (as ibo^-2) leave the float range.
+        # At r_load 1 both power factors are ibo^2 below ibo 1, so under 1e-150
+        # they fall below the 1e-300 floor that keeps eta_p (as ibo^-2) in range.
         rc = cli.main(["run", "--ibo", ibo, "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert f"ibo must be at least 1e-150, got {float(ibo)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"ibo={float(ibo):g} and r_load=1 put the power factors" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("r_load", ["1e306", "1e-320"])
     def test_run_load_outside_the_float_range_exits_1(self, tmp_path, capsys, r_load):
-        # The powers go as min(ibo, 1)^2 / r_load: at 1e306 eta_p overflows, at
-        # 1e-320 p_pa does.
+        # Both power factors go as min(ibo, 1)^2 / r_load: at 1e306 eta_p would
+        # overflow, at 1e-320 the factors do.
         cfg = _write_cfg(tmp_path, FAST_CFG + f"pa.r_load = {r_load}\n")
         rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert f"r_load={float(r_load):g} at ibo 0.1 puts the power scale" in (
+        assert f"ibo=0.1 and r_load={float(r_load):g} put the power factors" in (
             capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
@@ -192,8 +194,9 @@ class TestBadInput:
                          "--out", str(tmp_path / "o")]) == 0
         assert "(1 ok, 1 failed)" in capsys.readouterr().out
         failures = (tmp_path / "o" / "failures.log").read_text().splitlines()
-        assert failures == ["sys2,1e-160,0.9,ConfigurationError: "
-                            "ibo must be at least 1e-150, got 1e-160"]
+        assert failures == ["sys2,1e-160,0.9,ConfigurationError: ibo=1e-160 and r_load=1 put "
+                            "the power factors 9.99989e-321 (p_pa) and 9.99989e-321 (p_t) "
+                            "outside [1e-300, 1e+300]"]
 
     def test_key_set_twice_exits_1(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, FAST_CFG + "seed = 1\nseed = 5\n")
@@ -259,8 +262,8 @@ class TestBadInput:
         assert "unknown key" in err and key in err
         assert not (tmp_path / "o").exists()
 
-    # -3200: 10^-320 is positive and finite, but the noise calibration
-    # factor alpha / (3 * 10^-320) overflows.
+    # -3200: 10^-320 is positive and finite, but the noise ratio
+    # 1 / (3 * 10^-320) overflows.
     @pytest.mark.parametrize("sinr_db", ["4000", "-4000", "-3200"])
     def test_sinr_without_finite_linear_value_exits_1(self, tmp_path, capsys, sinr_db):
         cfg = _write_cfg(tmp_path, FAST_CFG + f"channel.sinr_db = {sinr_db}\n")

@@ -149,7 +149,7 @@ class TestEfficiencies:
 
     def test_values_and_fom(self):
         m = LinkMetrics.from_measurements(mi=2.0, rate_r=2.0, b_pa=1.0, p_pa=0.5, p_t=0.5,
-                                          n0=0.01, alpha=1.0)
+                                          noise_ratio=0.02)
         assert np.isclose(m.eta_p, 4.0)
         assert np.isclose(m.eta_b, 2.0)
         assert np.isclose(m.fom, 8.0)
@@ -157,9 +157,9 @@ class TestEfficiencies:
 
     def test_rejects_nonpositive_denominators(self):
         with pytest.raises(ValueError, match="p_pa must be positive"):
-            LinkMetrics.from_measurements(1.0, 1.0, 1.0, 0.0, 0.0, 0.01, 1.0)
+            LinkMetrics.from_measurements(1.0, 1.0, 1.0, 0.0, 0.0, 0.01)
         with pytest.raises(ValueError, match="b_pa must be positive"):
-            LinkMetrics.from_measurements(1.0, 1.0, -1.0, 1.0, 1.0, 0.01, 1.0)
+            LinkMetrics.from_measurements(1.0, 1.0, -1.0, 1.0, 1.0, 0.01)
 
 
 def _link_metrics(**changes):

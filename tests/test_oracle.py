@@ -1,15 +1,14 @@
 """Analytic oracle for the noise calibration: the receiver sees the Es/N0 the
 channel was calibrated for.
 
-channel.calibrate_noise solves alpha p_t / ((1 + ratio) sigma_n^2) = SINR but
-injects only the thermal part, so the receiver sees
-Es/N0 = alpha p_t / sigma_n^2 = (1 + ratio) 10^(sinr_db/10). On sys1 with
-nothing clipped (ibo 10) and a wide bandpass (10 B), the sign of each aligned
-dimension is then a binary symmetric channel with crossover
+The channel solves alpha p_t / ((1 + ratio) sigma_n^2) = SINR, so sigma_n^2 is
+alpha p_t times ChannelConfig.noise_ratio, but injects only the thermal part,
+so the receiver sees Es/N0 = alpha p_t / sigma_n^2 = (1 + ratio) 10^(sinr_db/10).
+On sys1 with nothing clipped (ibo 10) and a wide bandpass (10 B), the sign of
+each aligned dimension is then a binary symmetric channel with crossover
 p = Q(sqrt(Es/N0)), and the 2-bin MI of the aligned values estimates
 2 (1 - H_b(p)) (Proakis & Salehi, Digital Communications, 5th ed.).
-r_load = 2 and alpha = 0.5 keep both factors of the injected noise power
-sigma_n^2 r_load / alpha visible.
+r_load = 2 and alpha = 0.5 check that neither moves the noise the receiver sees.
 """
 
 import math

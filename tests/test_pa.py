@@ -6,9 +6,8 @@ from scipy import signal as sig
 
 from onebitlink.dsp import ButterworthSpec, design_butterworth
 from onebitlink.errors import ConfigurationError
-from onebitlink.pa import (_BLOCK, HARMONIC_BOUND, MIN_IBO, PaConfig, am_am_curve,
-                           bandpass_reconstruct, clip, mean_of, pa_power,
-                           transmit_power)
+from onebitlink.pa import (_BLOCK, HARMONIC_BOUND, PaConfig, am_am_curve,
+                           bandpass_reconstruct, clip, pa_power, transmit_power)
 
 # first harmonic of a clipped unit cosine, (2/pi)(asin r + r sqrt(1-r^2))
 FIRST_HARMONIC_AT_HALF = 0.6089977810442294
@@ -49,14 +48,11 @@ def test_blockwise_bandpass_has_the_bits_of_one_sosfilt_call(order):
 
 @pytest.mark.parametrize("n", [_BLOCK + 1, 3 * _BLOCK + 13, 1275904])
 def test_blockwise_powers_match_whole_frame_means(n):
-    # mean_of splits as numpy's pairwise sum does, so it keeps np.mean's bits.
     y = np.random.default_rng(n).standard_normal(n + 5)[5:]
-    for fn in (np.abs, np.square):
-        assert mean_of(fn, y) == np.mean(fn(y))
     window = slice(1000, n - 999)
-    np.testing.assert_allclose(pa_power(y, 1.0, 1.0, window), np.mean(np.abs(y[window])),
+    np.testing.assert_allclose(pa_power(y, window), np.mean(np.abs(y[window])),
                                rtol=1e-13, atol=0)
-    np.testing.assert_allclose(transmit_power(y, 1.0, window), np.mean(y[window] * y[window]),
+    np.testing.assert_allclose(transmit_power(y, window), np.mean(y[window] * y[window]),
                                rtol=1e-13, atol=0)
 
 
@@ -82,26 +78,28 @@ def test_pa_power_of_sinusoid():
     # mean rectified sinusoid is (2/pi) A, so p_pa = v_sat * (2/pi) A
     n = 4096 * 8
     y_p = 0.3 * np.cos(2 * np.pi * np.arange(n) / 4096.0)
-    assert np.isclose(pa_power(y_p, v_sat=0.5, r_load=1.0, window=slice(None)),
+    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
+    s, f_pa, _ = PaConfig(bpf=bpf, ibo=0.5).power_factors()
+    assert np.isclose(f_pa * pa_power(y_p / s, window=slice(None)),
                       0.5 * TWO_OVER_PI * 0.3, rtol=1e-5)
 
 
 def test_transmit_power_mean_product():
     y = np.array([1.0, -1.0, 2.0])
     i = y / 2.0  # load current into 2 ohms
-    assert np.isclose(transmit_power(y, 2.0, slice(None)), np.mean(i * y))
+    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
+    _, _, f_t = PaConfig(bpf=bpf, ibo=2.0, r_load=2.0).power_factors()
+    assert np.isclose(f_t * transmit_power(y, slice(None)), np.mean(i * y))
 
 
 def test_powers_are_unit_load_values_over_r_load():
-    rng = np.random.default_rng(6)
-    y = rng.standard_normal(5000)
-    window = slice(100, 4900)
-    p_pa, p_t = pa_power(y, 0.3, 1.0, window), transmit_power(y, 1.0, window)
-    assert p_pa == 0.3 * np.mean(np.abs(y[window]))
-    assert p_t == np.mean(y[window] * y[window])
-    for r_load in (0.5, 50.0):
-        assert np.isclose(pa_power(y, 0.3, r_load, window), p_pa / r_load, rtol=1e-15)
-        assert np.isclose(transmit_power(y, r_load, window), p_t / r_load, rtol=1e-15)
+    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
+    for ibo, s in ((0.3, 0.3), (1.0, 1.0), (4.0, 1.0)):
+        assert PaConfig(bpf=bpf, ibo=ibo).power_factors() == (s, ibo * s, s * s)
+        for r_load in (0.5, 50.0):
+            _, f_pa, f_t = PaConfig(bpf=bpf, ibo=ibo, r_load=r_load).power_factors()
+            assert np.isclose(f_pa, ibo * s / r_load, rtol=1e-15)
+            assert np.isclose(f_t, s * s / r_load, rtol=1e-15)
 
 
 def test_clipped_sine_chain_respects_harmonic_bound():
@@ -116,8 +114,8 @@ def test_clipped_sine_chain_respects_harmonic_bound():
                                              cutoff_high=fc + 0.45), fs=fs)
     y_p = bandpass_reconstruct(v_t, sos)
     settle = slice(2048, n)
-    p_pa = pa_power(y_p, v_sat, 1.0, settle)
-    p_t = transmit_power(y_p, 1.0, settle)
+    p_pa = v_sat * pa_power(y_p, settle)
+    p_t = transmit_power(y_p, settle)
     assert p_t <= HARMONIC_BOUND * p_pa * (1 + 1e-9)
     # hard-driven tone: fundamental amplitude approaches (4/pi) v_sat
     amp = np.sqrt(2.0 * p_t)
@@ -128,16 +126,20 @@ def test_pa_config_validation():
     bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=bpf, ibo=0.0)
-    with pytest.raises(ConfigurationError, match="ibo must be at least 1e-150"):
-        PaConfig(bpf=bpf, ibo=MIN_IBO / 2)
-    assert PaConfig(bpf=bpf, ibo=MIN_IBO).ibo == MIN_IBO
+    # At r_load 1 the factors' floor 1e-300 is the back-off floor 1e-150.
+    with pytest.raises(ConfigurationError, match=re.escape("ibo=5e-151 and r_load=1 put")):
+        PaConfig(bpf=bpf, ibo=0.5e-150)
+    assert PaConfig(bpf=bpf, ibo=1e-150).ibo == 1e-150
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=bpf, r_load=-1.0)
     for r_load in (1e306, 1e-320):
-        with pytest.raises(ConfigurationError, match=re.escape(f"r_load={r_load:g} at ibo 0.1")):
+        with pytest.raises(ConfigurationError, match=re.escape(f"ibo=0.1 and r_load={r_load:g}")):
             PaConfig(bpf=bpf, ibo=0.1, r_load=r_load)
-    for r_load in (1e-3, 1.0, 1e3):
-        for ibo in (MIN_IBO, 0.1, 10.0):
+    # The floor is on ibo^2 / r_load, so the smallest back-off rises with the load.
+    for r_load, smallest in ((1e-3, 1e-150), (1.0, 1e-150), (1e3, 1e-148)):
+        for ibo in (smallest, 0.1, 10.0):
             assert PaConfig(bpf=bpf, ibo=ibo, r_load=r_load).r_load == r_load
+    with pytest.raises(ConfigurationError, match="power factors"):
+        PaConfig(bpf=bpf, ibo=1e-150, r_load=1e3)
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=ButterworthSpec(order=4, kind="lowpass", cutoff_high=1.0))

@@ -11,7 +11,7 @@ from onebitlink import dsp, pipeline
 from onebitlink.channel import ChannelConfig
 from onebitlink.dsp import ButterworthSpec, RrcSpec
 from onebitlink.errors import ConfigurationError, StageError
-from onebitlink.pa import MIN_IBO, PaConfig
+from onebitlink.pa import PaConfig
 from onebitlink.pipeline import (MAX_FRAME_SAMPLES, QPSK_ALPHABET, VARIANTS, SystemConfig,
                                  bpf_spec_for, draw_symbols, run_link)
 
@@ -99,7 +99,8 @@ class TestRunLink:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_smallest_back_off_gives_finite_metrics(self, variant):
         # LinkMetrics rejects non-finite values; the FOM does not depend on the scale.
-        tiny = run_link(*_configs(variant, n_symbols=600, ibo=MIN_IBO))
+        # 1e-150 is the smallest back-off that PaConfig accepts at r_load 1.
+        tiny = run_link(*_configs(variant, n_symbols=600, ibo=1e-150))
         small = run_link(*_configs(variant, n_symbols=600, ibo=1e-30))
         assert tiny.p_t > 0 and np.isfinite(tiny.fom)
         assert tiny.fom_normalized == pytest.approx(small.fom_normalized, rel=1e-9)
@@ -159,6 +160,26 @@ class TestRunLink:
             if r_load == 1.0:
                 assert np.isclose(m.p_pa, ref.p_pa, rtol=1e-12, atol=0), alpha
                 assert np.isclose(m.p_t, ref.p_t, rtol=1e-12, atol=0), alpha
+
+    def test_path_gain_and_load_only_scale_the_reported_powers(self):
+        # The chain runs on y_p / min(ibo, 1) and sets its noise relative to
+        # mean(y^2), so alpha enters no arithmetic and r_load only the powers.
+        sys_cfg, pa_cfg, _ = _configs(n_symbols=600)
+        ref = run_link(sys_cfg, pa_cfg, ChannelConfig())
+        for alpha in (0.5, 2.0):
+            assert run_link(sys_cfg, pa_cfg, ChannelConfig(alpha=alpha)) == ref
+        for r_load in (1e-3, 1e3):
+            m = run_link(sys_cfg, dataclasses.replace(pa_cfg, r_load=r_load), ChannelConfig())
+            for name, power in (("p_pa", -1), ("p_t", -1), ("eta_p", 1), ("mi", 0),
+                                ("b_pa", 0), ("eta_b", 0), ("fom_normalized", 0)):
+                assert getattr(m, name) == pytest.approx(
+                    getattr(ref, name) * r_load ** power, rel=1e-12, abs=0), name
+        # Back-offs below r_load 1's floor of 1e-150 run at loads that keep both
+        # power factors in range; at 1e-310 the scaled drive's peaks overflow.
+        for ibo, r_load in ((1e-200, 1e-300), (1e-310, 1e-321)):
+            m = run_link(sys_cfg, dataclasses.replace(pa_cfg, ibo=ibo, r_load=r_load),
+                         ChannelConfig())
+            assert m.p_t > 0 and np.isfinite(m.fom_normalized)
 
     def test_peak_memory_stays_below_one_frame(self):
         # Each frame-length buffer is freed after its last stage, and the pa
@@ -280,7 +301,7 @@ def test_configs_are_frozen():
 _CPU_PER_WALL = """
 import resource, time
 from onebitlink.channel import ChannelConfig
-from onebitlink.pa import MIN_IBO, PaConfig
+from onebitlink.pa import PaConfig
 from onebitlink.pipeline import VARIANTS, SystemConfig, bpf_spec_for, run_link
 def cpu():
     r = resource.getrusage(resource.RUSAGE_SELF)

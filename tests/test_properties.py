@@ -1,12 +1,14 @@
 """Property tests: the config parser, the LinkMetrics checks and the link invariants."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebitlink import config, pipeline
+from onebitlink import cli, config, pipeline
 from onebitlink.channel import ChannelConfig
 from onebitlink.errors import ConfigurationError
 from onebitlink.metrics import LinkMetrics
@@ -67,3 +69,32 @@ def test_every_link_point_meets_the_invariants(variant, ibo, bbpf, seed):
     assert 0.0 <= m.mi <= 2.0 + 1e-9 and m.rate_r == m.mi * sys_cfg.b
     assert 0.0 < m.p_t <= HARMONIC_BOUND * m.p_pa * (1.0 + 1e-9)
     assert m.fom == m.eta_p * m.eta_b and m.eta_b == m.rate_r / m.b_pa
+
+
+# Log-uniform over the positive floats, subnormals included.
+_MAGNITUDE = st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e)
+_RUN_KEYS = {
+    "pa.ibo": _MAGNITUDE, "pa.r_load": _MAGNITUDE, "channel.alpha": _MAGNITUDE,
+    "channel.interference_ratio": _MAGNITUDE, "channel.sinr_db": st.floats(-3300.0, 3300.0),
+    "seed": st.integers(0, 2 ** 32),
+}
+
+
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(sorted(_RUN_KEYS)), min_size=1, max_size=3, unique=True)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: _RUN_KEYS[k] for k in keys})))
+def test_any_accepted_numeric_setting_runs_to_finite_metrics(values):
+    # Exit 1 is a rejected setting; exit 2, a run that broke on an accepted one.
+    # The test configuration turns numpy's RuntimeWarnings into errors, so an
+    # intermediate that leaves the float range on the way is exit 2 as well.
+    text = "system.n_symbols = 600\n" + "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        rc = cli.main(["run", "--config", path, "--out", os.path.join(tmp, "o")])
+        assert rc in (0, 1)
+        if rc == 0:
+            with open(os.path.join(tmp, "o", "run.csv")) as fh:
+                row = fh.read().splitlines()[1].split(",")
+            assert all(math.isfinite(float(cell)) for cell in row[1:]), row
