@@ -272,36 +272,31 @@ def downconvert(x_p, sos, step, fc, fs):
     return sig.sosfilt(d, w)
 
 
-def paired_at_lag(tx, rx, lag, stride):
-    """Pair tx[n] with rx[lag + stride*n] over all valid n, for lag >= 0.
-
-    Returns the two equal-length arrays (views, no copies) used for
-    correlation, scaling, and mutual-information estimation at a candidate lag.
-    """
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}")
-    r = np.asarray(rx)[lag::stride][:len(tx)]
-    return np.asarray(tx)[:len(r)], r
+def _paired_at_lag(tx, rx, lag, stride):
+    """tx[n] and rx[lag + stride*n] over all valid n (lag >= 0), as equal-length views."""
+    r = rx[lag::stride][:len(tx)]
+    return tx[:len(r)], r
 
 
-def align(tx, rx_soft, max_lag, stride):
-    """Find the lag and complex scale relating a received stream to tx symbols.
+def align(tx, rx_soft, trim, stride):
+    """Pair rx_soft with the tx symbols: return (lag, c, tx_kept, rx_kept).
 
-    The lag search pairs tx[n] with rx_soft[lag + stride*n] for lag in
-    [0, max_lag] and maximizes the magnitude of the normalized
-    cross-correlation. The returned scalar c is the least-squares solution of
-    tx ~ c * rx at the chosen lag, so callers can undo deterministic delay,
-    rotation, and gain in one step. If a second lag correlates within 1% of
-    the peak, an AlignmentAmbiguityWarning is issued and the smallest
-    qualifying lag is chosen. A peak on max_lag itself may lie beyond the
-    window, so it raises ValueError.
+    The lag in [0, trim * stride] that maximizes the normalized cross-correlation
+    of tx[n] with rx_soft[lag + stride*n] is chosen, and c is the least-squares
+    fit tx ~ c * rx there: it undoes delay, rotation and gain in one step. The
+    pair is tx[n] and c * rx_soft[lag + stride*n], less trim symbols at each
+    end, so the window spans only delays that the trim discards. A second lag
+    within 1% of the peak issues an AlignmentAmbiguityWarning and the smallest
+    qualifying lag wins; a peak on the last lag may lie beyond the window, so
+    it raises ValueError.
     """
     tx = np.asarray(tx)
     rx_soft = np.asarray(rx_soft)
+    max_lag = trim * stride
     lags = np.arange(max_lag + 1)
     metric = np.full(len(lags), -1.0)
     for k, lag in enumerate(lags):
-        t, r = paired_at_lag(tx, rx_soft, int(lag), stride)
+        t, r = _paired_at_lag(tx, rx_soft, int(lag), stride)
         if len(t) == 0:
             continue
         metric[k] = np.abs(np.vdot(t, r)) / len(t)
@@ -316,6 +311,7 @@ def align(tx, rx_soft, max_lag, stride):
             f"correlation peak is ambiguous across lags {qualifying.tolist()}; "
             f"using the smallest", AlignmentAmbiguityWarning)
     lag = int(qualifying.min())
-    t, r = paired_at_lag(tx, rx_soft, lag, stride)
+    t, r = _paired_at_lag(tx, rx_soft, lag, stride)
     c = np.vdot(r, t) / np.vdot(r, r)
-    return lag, c
+    keep = slice(trim, len(t) - trim)
+    return lag, c, t[keep], c * r[keep]

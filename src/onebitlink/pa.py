@@ -22,9 +22,13 @@ from .errors import ConfigurationError
 # transmit-to-battery power ratio p_t/p_pa by 4/pi.
 HARMONIC_BOUND = 4.0 / np.pi
 
-# Range of both power factors. p_pa and p_t are the factors times means of
-# order 1, and eta_p (so the FOM) goes as the inverse of p_pa; the range leaves
-# eight decades for each. At r_load 1 its floor is ibo^2 >= 1e-300.
+# Range of both power factors and of their ratio max(ibo, 1). p_pa and p_t are
+# the factors times means of order 1, and eta_p (so the FOM) goes as the
+# inverse of p_pa; the range leaves eight decades for each. At r_load 1 its
+# floor is ibo^2 >= 1e-300. p_pa / p_t = max(ibo, 1) mean|y| / mean(y^2) is at
+# most max(ibo, 1) / rms(y), so eight decades are left for 1 / rms(y) while
+# the bandpass settles within the frame (rms(y) >= 0.06 at 0.01 B and 600
+# symbols), not far below it (3.6e-15 at 1e-6 B, order 4).
 POWER_FACTOR_RANGE = (1e-300, 1e300)
 
 # Samples per block of the in-place bandpass and of the power sums.
@@ -53,6 +57,9 @@ class PaConfig:
             raise ConfigurationError(
                 f"ibo={self.ibo:g} and r_load={self.r_load:g} put the power factors "
                 f"{f_pa:g} (p_pa) and {f_t:g} (p_t) outside [{low:g}, {high:g}]")
+        if self.ibo > high:
+            raise ConfigurationError(
+                f"ibo={self.ibo:g} puts the power factors' ratio max(ibo, 1) above {high:g}")
         if self.bpf.kind != "bandpass":
             raise ConfigurationError("pa reconstruction filter must be a bandpass design")
 

@@ -129,7 +129,7 @@ def draw_symbols(n, rng):
 def _stage(name):
     try:
         yield
-    except StageError:
+    except ConfigurationError:  # a setting found bad mid-run: an unstable filter design
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
@@ -163,7 +163,6 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     deleted once its successor exists, so it is freed after its last use.
     """
     fs = sys_cfg.fs()
-    span = sys_cfg.rrc.span
     step = sys_cfg.analog_sps // sys_cfg.adc_sps
     sym_rng = np.random.default_rng(np.random.SeedSequence(sys_cfg.seed).spawn(2)[0])
 
@@ -219,14 +218,10 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         rx = dsp.fir_filter(rx, taps)  # matched filter, at adc_sps
 
     with _stage("align"):
-        # Lags up to the span-many symbols that the keep slice trims anyway.
-        lag, c = dsp.align(tx, rx, span * sys_cfg.adc_sps, stride=sys_cfg.adc_sps)
-        tx_used, rx_used = dsp.paired_at_lag(tx, rx, lag, sys_cfg.adc_sps)
-        rx_hat = c * rx_used
-        keep = slice(span, len(tx_used) - span)
+        _, _, tx_kept, rx_kept = dsp.align(tx, rx, sys_cfg.rrc.span, stride=sys_cfg.adc_sps)
 
     with _stage("metrics"):
-        mi = metrics_mod.mutual_information(tx_used[keep], rx_hat[keep], sys_cfg.mi_bins)
+        mi = metrics_mod.mutual_information(tx_kept, rx_kept, sys_cfg.mi_bins)
         rate_r = sys_cfg.b * mi
         psd = metrics_mod.welch_psd(y[sys_cfg.window], fs)
         b_pa = metrics_mod.occupied_bandwidth(psd, sys_cfg.fc())

@@ -382,6 +382,36 @@ class TestBadInput:
         failures = (tmp_path / "s" / "failures.log").read_text().splitlines()
         assert len(failures) == 1 and reason in failures[0]
 
+    def test_unstable_bandpass_design_exits_1(self, tmp_path, capsys):
+        # A 1e-14 B bandpass at this carrier puts a pole on the unit circle,
+        # which only the design itself can find: run exits 1, and a sweep
+        # point at that width fails with the same reason.
+        cfg = _write_cfg(tmp_path, "system.n_symbols = 600\n"
+                         + "system.fc_multiple = 15.594269566389382\n"
+                         + "grid.ibo = 0.1\ngrid.bbpf = 1e-14, 0.9\ngrid.systems = sys2\n")
+        assert cli.main(["run", "--config", cfg, "--bbpf", "1e-14",
+                         "--out", str(tmp_path / "r")]) == 1
+        assert "configuration error: unstable butterworth design" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "run.csv").exists()
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                         "--out", str(tmp_path / "s")]) == 0
+        failures = (tmp_path / "s" / "failures.log").read_text().splitlines()
+        assert len(failures) == 1
+        assert failures[0].startswith("sys2,0.1,1e-14,ConfigurationError: unstable butterworth")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_power_ratio_above_the_float_range_exits_1(self, tmp_path, capsys, command):
+        # p_pa / p_t = max(ibo, 1) mean|y| / mean(y^2): at ibo 1e308 it overflows
+        # on a narrow bandpass although both power factors are in range.
+        cfg = _write_cfg(tmp_path, "system.n_symbols = 600\npa.ibo = 1e308\n"
+                         + "pa.r_load = 1e9\npa.bbpf_over_b = 0.01\n"
+                         + "grid.ibo = 1e308\ngrid.bbpf = 0.01, 0.9\ngrid.systems = sys2\n")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        assert cli.main(argv + (["--jobs", "1"] if command == "sweep" else [])) == 1
+        assert "ibo=1e+308 puts the power factors' ratio max(ibo, 1) above 1e+300" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_every_point_failed_names_the_first_reason(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 61, 70\n"
                          + "grid.systems = sys2\n")

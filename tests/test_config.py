@@ -153,3 +153,4 @@ def test_readme_example_parses_to_the_owners_defaults():
     cfg, default = parse_config_text(example), ExperimentConfig()
     for build in ("system_config", "pa_config", "channel_config", "grid_spec"):
         assert getattr(cfg, build)() == getattr(default, build)(), build
+    assert (cfg.seed, cfg.out_dir) == (default.seed, default.out_dir)

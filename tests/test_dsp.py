@@ -7,7 +7,7 @@ from scipy import signal as sig
 from onebitlink import dsp
 from onebitlink.dsp import (AlignmentAmbiguityWarning, ButterworthSpec, RrcSpec,
                             align, design_butterworth, design_rrc, downconvert,
-                            fir_filter, iir_filter, paired_at_lag, upconvert,
+                            fir_filter, iir_filter, upconvert,
                             upsample_zero_insert, zoh_hold)
 from onebitlink.errors import ConfigurationError
 
@@ -253,29 +253,31 @@ class TestBlockRateLowpass:
 
 
 class TestAlign:
-    def test_pairing_negative_lag(self):
-        # align searches lags 0..max_lag only; a negative lag would wrap the index.
-        with pytest.raises(ValueError, match="nonnegative"):
-            paired_at_lag(np.arange(10.0), np.arange(30.0), lag=-5, stride=4)
-
     def test_pairing_stops_at_the_end_of_rx(self):
-        t, r = paired_at_lag(np.arange(10.0), np.arange(30.0), lag=5, stride=4)
-        # the last n needs 5 + 4n <= 29, so n stops after 6
-        np.testing.assert_array_equal(t, np.arange(7.0))
-        np.testing.assert_array_equal(r, 5 + 4 * np.arange(7.0))
+        rng = np.random.default_rng(2)
+        tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=60) / np.sqrt(2)
+        # rx[5 + 4n] = 2 tx[n] ends after n = 49, before tx does
+        rx = np.zeros(5 + 4 * 49 + 1, dtype=complex)
+        rx[5::4] = 2.0 * tx[:50]
+        lag, c, t, r = align(tx, rx, trim=2, stride=4)
+        assert lag == 5
+        assert np.isclose(c, 0.5, atol=1e-12)
+        # the 50 pairs less 2 symbols at each end
+        np.testing.assert_array_equal(t, tx[2:48])
+        np.testing.assert_allclose(r, tx[2:48], atol=1e-12)
 
     def test_integer_delay(self):
         rng = np.random.default_rng(3)
         tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=200) / np.sqrt(2)
         rx = np.concatenate([np.zeros(7, dtype=complex), tx])
-        lag, c = align(tx, rx, stride=1, max_lag=8)
+        lag, c, _, _ = align(tx, rx, trim=8, stride=1)
         assert lag == 7
         assert np.isclose(c, 1.0, atol=1e-12)
 
     def test_rotation_only(self):
         rng = np.random.default_rng(4)
         tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=200) / np.sqrt(2)
-        lag, c = align(tx, 1j * tx, stride=1, max_lag=4)
+        lag, c, _, _ = align(tx, 1j * tx, trim=4, stride=1)
         assert lag == 0
         assert np.isclose(c, -1j, atol=1e-12)
 
@@ -284,9 +286,10 @@ class TestAlign:
         tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=300) / np.sqrt(2)
         rx = 0.5 * np.exp(1j * np.pi / 5) * np.concatenate(
             [np.zeros(3, dtype=complex), tx])
-        lag, c = align(tx, rx, stride=1, max_lag=4)
+        lag, c, t, r = align(tx, rx, trim=4, stride=1)
         assert lag == 3
         assert abs(c - 2.0 * np.exp(-1j * np.pi / 5)) < 1e-3
+        np.testing.assert_allclose(r, t, atol=1e-3)
 
     def test_ambiguity_warns_and_takes_smaller_lag(self):
         rng = np.random.default_rng(6)
@@ -295,7 +298,7 @@ class TestAlign:
         rx[3:3 + 400] += tx
         rx[4:4 + 400] += 0.999 * tx
         with pytest.warns(AlignmentAmbiguityWarning):
-            lag, _ = align(tx, rx, stride=1, max_lag=8)
+            lag, _, _, _ = align(tx, rx, trim=8, stride=1)
         assert lag == 3
 
     def test_peak_on_the_last_lag_raises(self):
@@ -304,9 +307,9 @@ class TestAlign:
         tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=200) / np.sqrt(2)
         rx = np.concatenate([np.zeros(7, dtype=complex), tx])
         with pytest.raises(ValueError, match="last lag 7"):
-            align(tx, rx, stride=1, max_lag=7)
+            align(tx, rx, trim=7, stride=1)
 
     def test_no_overlap(self):
         with pytest.raises(ValueError):
             align(np.ones(4, dtype=complex), np.zeros(4, dtype=complex),
-                  stride=1, max_lag=2)
+                  trim=2, stride=1)

@@ -141,5 +141,9 @@ def test_pa_config_validation():
             assert PaConfig(bpf=bpf, ibo=ibo, r_load=r_load).r_load == r_load
     with pytest.raises(ConfigurationError, match="power factors"):
         PaConfig(bpf=bpf, ibo=1e-150, r_load=1e3)
+    # p_pa / p_t goes as f_pa / f_t = max(ibo, 1), which the same ceiling bounds.
+    assert PaConfig(bpf=bpf, ibo=1e300, r_load=1e9).ibo == 1e300
+    with pytest.raises(ConfigurationError, match=re.escape("ratio max(ibo, 1) above 1e+300")):
+        PaConfig(bpf=bpf, ibo=1.01e300, r_load=1e9)
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=ButterworthSpec(order=4, kind="lowpass", cutoff_high=1.0))
