@@ -1,5 +1,6 @@
 """Measurement suite: mutual information, PSD, occupied bandwidth, and the
 LinkMetrics row, the one place the efficiencies and the FOM are computed.
+The PSD segment is 32 symbols at any sample rate, so b_pa does not depend on it.
 
 Mutual information uses a plug-in joint-histogram estimator. For receivers
 that keep soft values, each real dimension of the aligned output is uniformly
@@ -19,11 +20,10 @@ from scipy import signal as sig
 
 from .pa import HARMONIC_BOUND
 
-# Welch segment length in samples: 32 symbols at the default 128 samples per symbol.
-PSD_SEGMENT_LEN = 4096
-# Segments windowed and transformed per batched rfft: bounds the temporaries
-# to a few MB whatever the signal length.
-_PSD_BLOCK_SEGMENTS = 64
+# Welch segment length in symbol periods, so the bin width is B/32 at any rate.
+PSD_SEGMENT_SYMBOLS = 32
+# Samples per batched rfft: about 4 MB of temporaries at any length and rate.
+_PSD_BLOCK_SAMPLES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -120,30 +120,33 @@ def plugin_mi_bias(bins_per_dim, n):
 
 
 def welch_psd(x, fs):
-    """Averaged-periodogram PSD (Hann window, PSD_SEGMENT_LEN, half overlap, one-sided density).
+    """Averaged-periodogram PSD of x at fs samples per symbol (Hann window, segments
+    of PSD_SEGMENT_SYMBOLS symbols, round(32 * fs) samples, half overlap, one-sided density).
 
     Normalization is Parseval-consistent: sum(values) * df equals the mean
     power of `x` up to windowing leakage. The estimate is that of
     scipy.signal.welch with detrend=False, to rounding.
     """
     x = np.asarray(x)
-    if PSD_SEGMENT_LEN > len(x):
-        raise ValueError(f"PSD segment of {PSD_SEGMENT_LEN} samples exceeds signal length {len(x)}")
+    seg = round(PSD_SEGMENT_SYMBOLS * fs)
+    if seg > len(x):
+        raise ValueError(f"PSD segment of {seg} samples exceeds signal length {len(x)}")
     # scipy.signal.welch's segments as a read-only strided view: the frame is never copied.
-    hop = PSD_SEGMENT_LEN // 2
-    n_seg = (len(x) - hop) // hop
-    segments = sliding_window_view(x, PSD_SEGMENT_LEN)[::hop][:n_seg]
-    window = sig.get_window("hann", PSD_SEGMENT_LEN)
-    values = np.zeros(PSD_SEGMENT_LEN // 2 + 1)
-    for start in range(0, n_seg, _PSD_BLOCK_SEGMENTS):
-        spec = sp_fft.rfft(segments[start:start + _PSD_BLOCK_SEGMENTS] * window, axis=-1)
+    hop = seg - seg // 2
+    n_seg = (len(x) - seg) // hop + 1
+    segments = sliding_window_view(x, seg)[::hop][:n_seg]
+    window = sig.get_window("hann", seg)
+    values = np.zeros(seg // 2 + 1)
+    block = max(1, _PSD_BLOCK_SAMPLES // seg)
+    for start in range(0, n_seg, block):
+        spec = sp_fft.rfft(segments[start:start + block] * window, axis=-1)
         power = np.square(spec.real)
         power += np.square(spec.imag, out=spec.imag)
         values += np.sum(power, axis=0)
         del spec, power  # before the next block's transform allocates its own
     values /= fs * np.sum(window ** 2) * n_seg
-    values[1:-1] *= 2.0  # one-sided; the even segment length puts Nyquist in the last bin
-    freqs = np.fft.rfftfreq(PSD_SEGMENT_LEN, 1.0 / fs)
+    values[1:(seg + 1) // 2] *= 2.0  # one-sided; an even segment's Nyquist bin stays single
+    freqs = np.fft.rfftfreq(seg, 1.0 / fs)
     total = float(np.sum(values) * (freqs[1] - freqs[0]))
     return PsdEstimate(freqs=freqs, values=values, total_power=total)
 

@@ -57,18 +57,15 @@ class SystemConfig:
             raise ConfigurationError(f"unknown system variant {self.variant!r}")
         if self.seed < 0:  # np.random.SeedSequence takes only nonnegative integers
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        if self.n_symbols <= 4 * self.rrc.span:
-            raise ConfigurationError(
-                f"n_symbols={self.n_symbols} leaves no samples after edge trimming")
         if self.n_symbols * self.analog_sps > MAX_FRAME_SAMPLES:
             raise ConfigurationError(
                 f"n_symbols * analog_sps = {self.n_symbols * self.analog_sps} exceeds the "
                 f"{MAX_FRAME_SAMPLES}-sample frame limit")
-        window = self.window.stop - self.window.start
-        if window < metrics_mod.PSD_SEGMENT_LEN:
+        window = self.n_symbols - 2 * self.rrc.span
+        if window < max(metrics_mod.PSD_SEGMENT_SYMBOLS, 2 * self.rrc.span + 1):
             raise ConfigurationError(
-                f"measurement window (n_symbols - 2 * rrc_span) * analog_sps = {window} is "
-                f"shorter than the {metrics_mod.PSD_SEGMENT_LEN}-sample PSD segment")
+                f"measurement window n_symbols - 2 * rrc_span = {window} symbols must hold the "
+                f"{metrics_mod.PSD_SEGMENT_SYMBOLS}-symbol PSD segment and exceed 2 * rrc_span")
         if self.analog_sps % self.adc_sps:
             raise ConfigurationError(
                 f"analog_sps={self.analog_sps} must be divisible by the converter rate "
@@ -107,14 +104,22 @@ class SystemConfig:
         return self.fc_multiple * self.b
 
     def require_band(self, name, half):
-        """Raise unless half > 0 and the band fc +- half lies inside (0, fs/2)."""
+        """Raise unless half > 0, the band fc +- half lies inside (0, fs/2), and
+        sampling at fs folds neither the clipper's 3rd nor its 5th harmonic into it."""
         if half <= 0:
             raise ConfigurationError(f"{name} width must be positive, got {2.0 * half:g} B")
-        nyquist = self.fs() / 2.0
-        if not (0.0 < self.fc() - half and self.fc() + half < nyquist):
+        fs, fc = self.fs(), self.fc()
+        if not (0.0 < fc - half and fc + half < fs / 2.0):
             raise ConfigurationError(
-                f"{name} of {2.0 * half:g} B around the carrier {self.fc():g} must lie "
-                f"between 0 and the Nyquist rate {nyquist:g}")
+                f"{name} of {2.0 * half:g} B around the carrier {fc:g} must lie "
+                f"between 0 and the Nyquist rate {fs / 2.0:g}")
+        for k in (3, 5):
+            image = abs((k * fc + fs / 2.0) % fs - fs / 2.0)
+            if abs(image - fc) <= half:
+                raise ConfigurationError(
+                    f"{name} of {2.0 * half:g} B around the carrier {fc:g} takes in the "
+                    f"clipper's harmonic {k} at {k * fc:g}, which {fs:g} samples per symbol "
+                    f"fold to {image:g}")
 
     def fs(self):
         return self.analog_sps * self.b

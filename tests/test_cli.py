@@ -289,7 +289,7 @@ class TestBadInput:
         assert "butterworth order must lie in [1, 16], got 100000" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    # The window (40 - 2 * 8) * 128 = 3072 samples cannot hold one PSD segment.
+    # The window of 40 - 2 * 8 = 24 symbols cannot hold one 32-symbol PSD segment.
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_window_shorter_than_psd_segment_exits_1(self, tmp_path, capsys, command):
         cfg = _write_cfg(tmp_path, "system.n_symbols = 40\nsystem.rrc_span = 8\n")
@@ -381,6 +381,36 @@ class TestBadInput:
                          "--out", str(tmp_path / "s")]) == 0
         failures = (tmp_path / "s" / "failures.log").read_text().splitlines()
         assert len(failures) == 1 and reason in failures[0]
+
+    # The clipper's 3rd harmonic folds onto the carrier: 3 x 32 B = 96 B at 128
+    # samples per symbol, and 3 x 30 B = 90 B at 120. The signal band fails at
+    # config time, before any output.
+    @pytest.mark.parametrize("setting,image", [("system.fc_multiple = 32", "fold to 32"),
+                                               ("system.analog_sps = 120", "fold to 30")])
+    def test_harmonic_folded_onto_the_carrier_exits_1(self, tmp_path, capsys, setting, image):
+        cfg = _write_cfg(tmp_path, f"system.n_symbols = 4000\n{setting}\n")
+        assert cli.main(["run", "--config", cfg, "--system", "sys1", "--ibo", "1",
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: signal band" in err and "harmonic 3" in err and image in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bandpass_holding_a_folded_harmonic_names_it(self, tmp_path, capsys):
+        # 59.9 B around the 30 B carrier reaches 38 B, where 128 samples per
+        # symbol fold the 3rd harmonic (90 B); the sweep point fails the same way.
+        cfg = _write_cfg(tmp_path, "system.n_symbols = 600\npa.bpf_order = 12\n"
+                         + "grid.ibo = 0.0316\ngrid.bbpf = 0.9, 59.9\ngrid.systems = sys2\n")
+        assert cli.main(["run", "--config", cfg, "--ibo", "0.0316", "--bbpf", "59.9",
+                         "--out", str(tmp_path / "r")]) == 1
+        reason = "bandpass of 59.9 B around the carrier 30 takes in the clipper's harmonic 3"
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                         "--out", str(tmp_path / "s")]) == 0
+        failures = (tmp_path / "s" / "failures.log").read_text().splitlines()
+        assert len(failures) == 1
+        assert failures[0].startswith("sys2,0.0316,59.9,ConfigurationError:")
+        assert reason in failures[0]
 
     def test_unstable_bandpass_design_exits_1(self, tmp_path, capsys):
         # A 1e-14 B bandpass at this carrier puts a pole on the unit circle,

@@ -1,4 +1,4 @@
-"""Golden outputs: a short `run`, two short `sweep`s and `amam` must reproduce byte for byte.
+"""Golden outputs: two short `run`s, two short `sweep`s and `amam` must reproduce byte for byte.
 
 The reference files in tests/data/golden/ were written by the CLI itself. A
 refactor that is meant to leave results alone proves it here; a change that
@@ -27,13 +27,16 @@ FAILED_CFG = (RUN_CFG
               + "grid.ibo = 0.1\n"
               + "grid.bbpf = 0.9, 61\n"
               + "grid.systems = sys2, sys3\n")
+# Off the default rate: the Welch segment is 32 symbols, 8192 samples here.
+RATE_CFG = RUN_CFG + "system.analog_sps = 256\n"
 SWEEP_FILES = ("grid.csv", "failures.log", "fig4.csv", "fig5.csv", "fig6.csv",
                "fig7.csv", "fig8.csv")
 # (golden directory, sub-command, config text or None, files compared)
 CASES = (("run", "run", RUN_CFG, ("run.csv",)),
          ("sweep", "sweep", SWEEP_CFG, SWEEP_FILES),
          ("sweep-failed", "sweep", FAILED_CFG, SWEEP_FILES),
-         ("amam", "amam", None, ("fig3.csv",)))
+         ("amam", "amam", None, ("fig3.csv",)),
+         ("run-256", "run", RATE_CFG, ("run.csv",)))
 
 
 def _produce(name, command, cfg_text, work, out, jobs=1):

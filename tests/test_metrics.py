@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal as sig
 
-from onebitlink.metrics import (PSD_SEGMENT_LEN, LinkMetrics, PsdEstimate,
+from onebitlink.metrics import (PSD_SEGMENT_SYMBOLS, LinkMetrics, PsdEstimate,
                                 mutual_information, occupied_bandwidth,
                                 plugin_mi_bias, welch_psd)
 
@@ -60,6 +60,10 @@ def test_plugin_bias_formula():
     assert np.isclose(plugin_mi_bias(2, 10000), 15.0 / (20000.0 * np.log(2.0)))
 
 
+# The Welch segment in samples at 128 samples per symbol: 32 x 128 = 4096.
+PSD_SEGMENT_LEN = PSD_SEGMENT_SYMBOLS * 128
+
+
 class TestPsd:
     def test_parseval(self):
         rng = np.random.default_rng(7)
@@ -95,6 +99,20 @@ class TestPsd:
         np.testing.assert_allclose(psd.values, values, rtol=1e-12, atol=0.0)
         assert np.isclose(psd.total_power, np.sum(values) * (freqs[1] - freqs[0]),
                           rtol=1e-12, atol=0.0)
+
+    # 32 symbols at any rate: 2048, 8192 and (odd) 4095 samples, whose last
+    # bin is not at Nyquist and is doubled like the others.
+    @pytest.mark.parametrize("fs", [64.0, 256.0, 127.97])
+    def test_segment_is_32_symbols_at_any_rate(self, fs):
+        seg = round(PSD_SEGMENT_SYMBOLS * fs)
+        n = 5 * seg + 17
+        x = np.random.default_rng(3).standard_normal(n)
+        freqs, values = sig.welch(x, fs, "hann", nperseg=seg, noverlap=seg // 2,
+                                  detrend=False, scaling="density")
+        psd = welch_psd(x, fs=fs)
+        assert np.isclose(psd.freqs[1], 1.0 / PSD_SEGMENT_SYMBOLS, rtol=1e-3)
+        np.testing.assert_array_equal(psd.freqs, freqs)
+        np.testing.assert_allclose(psd.values, values, rtol=1e-12, atol=0.0)
 
     def test_paper_frame_peak_memory(self):
         # The segments are a strided view, transformed a block at a time: no

@@ -63,14 +63,40 @@ class TestSystemConfig:
         dict(fc_multiple=63.0),                    # carrier too close to Nyquist
         dict(n_symbols=MAX_FRAME_SAMPLES // 128 + 1),  # frame above the size limit
         dict(seed=-1),                             # SeedSequence takes no negative seed
-        # measurement window shorter than the 4096-sample PSD segment
-        dict(n_symbols=40, rrc=RrcSpec(span=8)),   # (40 - 16) * 128 = 3072
-        dict(n_symbols=65, analog_sps=64),         # (65 - 32) * 64 = 2112
+        # measurement window shorter than the 32-symbol PSD segment
+        dict(n_symbols=40, rrc=RrcSpec(span=8)),   # 40 - 16 = 24 symbols
+        dict(n_symbols=63, analog_sps=64),         # 63 - 32 = 31 symbols
         dict(fc_multiple=1.5),                     # carrier inside the signal band
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             SystemConfig(**kwargs)
+
+    # One rule in symbols: the window n_symbols - 2 * span holds the 32-symbol
+    # PSD segment and more than 2 * span symbols, whatever the sample rate.
+    @pytest.mark.parametrize("analog_sps", [64, 128, 256])
+    @pytest.mark.parametrize("n_symbols,span,ok", [
+        (48, 8, True), (47, 8, False),     # 32 symbols is the segment
+        (65, 16, True), (64, 16, False),   # 33 symbols exceeds 2 * span
+    ])
+    def test_window_rule_counts_symbols(self, n_symbols, span, ok, analog_sps):
+        kwargs = dict(n_symbols=n_symbols, analog_sps=analog_sps, rrc=RrcSpec(span=span))
+        if ok:
+            SystemConfig(**kwargs)
+        else:
+            with pytest.raises(ConfigurationError, match="32-symbol PSD segment"):
+                SystemConfig(**kwargs)
+
+    # The clipper's 3rd and 5th harmonics sit 8 B from the 30 B carrier once
+    # 128 samples per symbol fold them (to 38 B and 22 B): a band that reaches
+    # them is rejected, a narrower one is not.
+    @pytest.mark.parametrize("width,ok", [(15.9, True), (16.0, False)])
+    def test_folded_harmonic_bound_on_the_bandpass(self, width, ok):
+        if ok:
+            bpf_spec_for(width, SystemConfig(), 4)
+        else:
+            with pytest.raises(ConfigurationError, match="harmonic 3 at 90, .* fold to 38"):
+                bpf_spec_for(width, SystemConfig(), 4)
 
 
 class TestRunLink:
@@ -270,6 +296,17 @@ class TestRunLink:
             run_link(*_configs(variant=variant, n_symbols=500))
             assert names == ["source", "tx-shaping", "dac", "pa", "channel", "rx", "align",
                              "metrics"], variant
+
+    # The Welch segment is 32 symbols at any rate, so b_pa does not move with
+    # analog_sps: bins of B/32 whatever the samples per symbol.
+    @pytest.mark.parametrize("variant,ibo", [("sys1", 0.0316), ("sys2", 0.1)])
+    def test_occupied_bandwidth_does_not_depend_on_the_rate(self, variant, ibo):
+        b_pa = []
+        for analog_sps in (64, 128, 256):
+            sys_cfg = SystemConfig(variant=variant, n_symbols=2000, analog_sps=analog_sps)
+            pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(0.9, sys_cfg, 4))
+            b_pa.append(run_link(sys_cfg, pa_cfg, ChannelConfig()).b_pa)
+        assert max(b_pa) / min(b_pa) - 1.0 <= 0.005, b_pa
 
     def test_stage_error_names_the_stage(self):
         sys_cfg = SystemConfig(n_symbols=2000)
