@@ -84,21 +84,16 @@ def design_rrc(spec):
     symbol periods at spec.samples_per_symbol taps per symbol.
     """
     rho = spec.roll_off
-    sps = spec.samples_per_symbol
-    half = spec.span * sps // 2
-    h = np.zeros(2 * half + 1)
-    for i, n in enumerate(range(-half, half + 1)):
-        t = n / sps
-        if abs(t) < 1e-12:
-            h[i] = 1.0 - rho + 4.0 * rho / np.pi
-        elif rho > 0 and abs(abs(4.0 * rho * t) - 1.0) < 1e-9:
-            h[i] = (rho / np.sqrt(2.0)) * (
-                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * rho))
-                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * rho)))
-        else:
-            num = np.sin(np.pi * t * (1.0 - rho)) + 4.0 * rho * t * np.cos(np.pi * t * (1.0 + rho))
-            den = np.pi * t * (1.0 - (4.0 * rho * t) ** 2)
-            h[i] = num / den
+    half = spec.span * spec.samples_per_symbol // 2
+    t = np.arange(-half, half + 1) / spec.samples_per_symbol
+    with np.errstate(divide="ignore", invalid="ignore"):  # the special points, set below
+        h = (np.sin(np.pi * t * (1.0 - rho)) + 4.0 * rho * t * np.cos(np.pi * t * (1.0 + rho))) / (
+            np.pi * t * (1.0 - (4.0 * rho * t) ** 2))
+    h[np.abs(t) < 1e-12] = 1.0 - rho + 4.0 * rho / np.pi
+    if rho > 0:
+        h[np.abs(np.abs(4.0 * rho * t) - 1.0) < 1e-9] = (rho / np.sqrt(2.0)) * (
+            (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * rho))
+            + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * rho)))
     return h / np.sqrt(np.sum(h * h))
 
 
@@ -109,11 +104,8 @@ def design_butterworth(spec, fs):
     specified edge frequencies. scipy raises ValueError for an edge at or
     above fs/2; SystemConfig.require_band keeps the link's filters below it.
     """
-    if spec.kind == "lowpass":
-        sos = sig.butter(spec.order, spec.cutoff_high, btype="lowpass", fs=fs, output="sos")
-    else:
-        sos = sig.butter(spec.order, [spec.cutoff_low, spec.cutoff_high],
-                         btype="bandpass", fs=fs, output="sos")
+    edges = spec.cutoff_high if spec.kind == "lowpass" else [spec.cutoff_low, spec.cutoff_high]
+    sos = sig.butter(spec.order, edges, btype=spec.kind, fs=fs, output="sos")
     for section in sos:
         poles = np.roots(section[3:])
         if np.any(np.abs(poles) >= 1.0):
@@ -232,9 +224,9 @@ def upconvert(u, sos, hold, fc, fs):
     g = g.astype(np.float64) * _phasors(fc / fs, len(g))
     v = sig.sosfilt(d, np.asarray(u)) * _phasors(fc * hold / fs, len(u))
     n_lags = len(g) // hold
-    lags = np.zeros((len(v), n_lags), dtype=np.complex128)
-    for lag in range(n_lags):
-        lags[lag:, lag] = v[:len(v) - lag]
+    # lags[n, l] = v[n - l], zero before the frame: windows of the zero-led v, reversed.
+    padded = np.concatenate([np.zeros(n_lags - 1), v])
+    lags = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, n_lags)[:, ::-1])
     taps = np.empty((2 * n_lags, hold))
     taps[0::2] = g.real.reshape(n_lags, hold)
     taps[1::2] = -g.imag.reshape(n_lags, hold)

@@ -26,9 +26,9 @@ HARMONIC_BOUND = 4.0 / np.pi
 # the factors times means of order 1, and eta_p (so the FOM) goes as the
 # inverse of p_pa; the range leaves eight decades for each. At r_load 1 its
 # floor is ibo^2 >= 1e-300. p_pa / p_t = max(ibo, 1) mean|y| / mean(y^2) is at
-# most max(ibo, 1) / rms(y), so eight decades are left for 1 / rms(y) while
-# the bandpass settles within the frame (rms(y) >= 0.06 at 0.01 B and 600
-# symbols), not far below it (3.6e-15 at 1e-6 B, order 4).
+# most max(ibo, 1) / rms(y), so eight decades are left for 1 / rms(y), which
+# the bandpass delay rule bounds: rms(y) >= 0.17 at the narrowest accepted
+# width (pipeline.bpf_spec_for; orders 1-16, sys1-sys3, 600 symbols).
 POWER_FACTOR_RANGE = (1e-300, 1e300)
 
 # Samples per block of the in-place bandpass and of the power sums.

@@ -11,6 +11,7 @@ and returns the full LinkMetrics row.
 """
 
 import functools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -41,7 +42,7 @@ MAX_FRAME_SAMPLES = 2 ** 24
 class SystemConfig:
     """Static description of one link variant; all rates are multiples of the baud rate.
 
-    rrc.samples_per_symbol is the converter rate (adc_sps, and dac_sps if shaped)."""
+    rrc.samples_per_symbol is the converter rate (adc_sps, and the DAC's if shaped)."""
 
     b = 1.0  # baud rate (class constant, not a field): frequencies are in units of B
     variant: str = "sys2"
@@ -86,10 +87,6 @@ class SystemConfig:
     @property
     def shaped(self):
         return _VARIANT_TABLE[self.variant][0]
-
-    @property
-    def dac_sps(self):
-        return self.adc_sps if self.shaped else 1
 
     @property
     def one_bit(self):
@@ -168,6 +165,7 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     deleted once its successor exists, so it is freed after its last use.
     """
     fs = sys_cfg.fs()
+    n_frame = sys_cfg.n_symbols * sys_cfg.analog_sps
     step = sys_cfg.analog_sps // sys_cfg.adc_sps
     sym_rng = np.random.default_rng(np.random.SeedSequence(sys_cfg.seed).spawn(2)[0])
 
@@ -176,23 +174,22 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         # The lowpass both ends use, and the channel noise already through the
         # receive front end. The noise is drawn before any frame-length buffer
         # exists, so a cache miss adds little to the run's peak.
-        lpf_sos, noise = _lowpass_and_noise(
-            sys_cfg.seed, sys_cfg.n_symbols * sys_cfg.analog_sps, sys_cfg.lpf, step,
-            sys_cfg.fc(), fs)
+        lpf_sos, noise = _lowpass_and_noise(sys_cfg.seed, n_frame, sys_cfg.lpf, step,
+                                            sys_cfg.fc(), fs)
 
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.
         taps = dsp.design_rrc(sys_cfg.rrc)
         if sys_cfg.shaped:
-            dac_in = dsp.fir_filter(dsp.upsample_zero_insert(tx, sys_cfg.dac_sps), taps)
+            dac_in = dsp.fir_filter(dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps)
         else:
             dac_in = tx
 
     with _stage("dac"):
         if sys_cfg.one_bit:
             dac_in = quantizers.one_bit_quantize(dac_in)
-        wave = dsp.upconvert(dac_in, lpf_sos, sys_cfg.analog_sps // sys_cfg.dac_sps,
-                             sys_cfg.fc(), fs)
+        # The shaper's output sets the DAC rate; the hold fills the analog frame.
+        wave = dsp.upconvert(dac_in, lpf_sos, n_frame // len(dac_in), sys_cfg.fc(), fs)
 
     with _stage("pa"):
         # x_p at unit RMS (so v_sat is ibo), divided by s. Below s ~ 1e-308 peaks
@@ -235,9 +232,16 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
 
 def bpf_spec_for(bbpf_over_b, sys_cfg, order):
-    """Bandpass prototype of width bbpf_over_b * B centered on the carrier."""
+    """Bandpass prototype of width W = bbpf_over_b * B centered on the carrier. dsp.align
+    finds its delay, 1 / (pi W sin(pi / 2N)) symbols at order N, only up to 0.65 rrc.span."""
     half = bbpf_over_b * sys_cfg.b / 2.0
     sys_cfg.require_band("bandpass", half)
-    return dsp.ButterworthSpec(order=order, kind="bandpass",
+    spec = dsp.ButterworthSpec(order=order, kind="bandpass",
                                cutoff_low=sys_cfg.fc() - half, cutoff_high=sys_cfg.fc() + half)
+    delay = 1.0 / (math.pi * bbpf_over_b * math.sin(math.pi / (2 * order)))
+    if delay > 0.65 * sys_cfg.rrc.span:
+        raise ConfigurationError(
+            f"bandpass of {bbpf_over_b:g} B at order {order} delays the carrier {delay:.3g} "
+            f"symbols, past 0.65 x the rrc span of {sys_cfg.rrc.span} symbols")
+    return spec
 

@@ -412,30 +412,39 @@ class TestBadInput:
         assert failures[0].startswith("sys2,0.0316,59.9,ConfigurationError:")
         assert reason in failures[0]
 
-    def test_unstable_bandpass_design_exits_1(self, tmp_path, capsys):
-        # A 1e-14 B bandpass at this carrier puts a pole on the unit circle,
-        # which only the design itself can find: run exits 1, and a sweep
-        # point at that width fails with the same reason.
-        cfg = _write_cfg(tmp_path, "system.n_symbols = 600\n"
-                         + "system.fc_multiple = 15.594269566389382\n"
-                         + "grid.ibo = 0.1\ngrid.bbpf = 1e-14, 0.9\ngrid.systems = sys2\n")
-        assert cli.main(["run", "--config", cfg, "--bbpf", "1e-14",
+    # A bandpass whose delay at the carrier, 1 / (pi W sin(pi / 2N)) symbols,
+    # passes 0.65 x the 16-symbol rrc span puts the correlation peak past the
+    # alignment window: unchecked, order 16 at 0.2 B fails in align and order 8
+    # at 0.05 B runs misaligned (MI below 0.01); 1e-14 B at this carrier is
+    # also an unstable design. Run exits 1, and a sweep point at that width fails.
+    @pytest.mark.parametrize("setting,width,delay", [
+        ("system.n_symbols = 2000\npa.bpf_order = 16", "0.2", "16.2"),
+        ("system.n_symbols = 2000\npa.bpf_order = 8", "0.05", "32.6"),
+        ("system.n_symbols = 600\nsystem.fc_multiple = 15.594269566389382", "1e-14", "8.32e+13"),
+    ], ids=["order16", "order8", "1e-14"])
+    def test_bandpass_delay_past_the_alignment_window_exits_1(self, tmp_path, capsys, setting,
+                                                              width, delay):
+        cfg = _write_cfg(tmp_path, f"{setting}\ngrid.ibo = 0.1\ngrid.bbpf = {width}, 0.9\n"
+                         + "grid.systems = sys2\n")
+        assert cli.main(["run", "--config", cfg, "--bbpf", width,
                          "--out", str(tmp_path / "r")]) == 1
-        assert "configuration error: unstable butterworth design" in capsys.readouterr().err
+        reason = f"bandpass of {width} B at order"
+        err = capsys.readouterr().err
+        assert reason in err and f"delays the carrier {delay} symbols" in err
         assert not (tmp_path / "r" / "run.csv").exists()
         assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
                          "--out", str(tmp_path / "s")]) == 0
         failures = (tmp_path / "s" / "failures.log").read_text().splitlines()
         assert len(failures) == 1
-        assert failures[0].startswith("sys2,0.1,1e-14,ConfigurationError: unstable butterworth")
+        assert failures[0].startswith(f"sys2,0.1,{width},ConfigurationError: {reason}")
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_power_ratio_above_the_float_range_exits_1(self, tmp_path, capsys, command):
-        # p_pa / p_t = max(ibo, 1) mean|y| / mean(y^2): at ibo 1e308 it overflows
-        # on a narrow bandpass although both power factors are in range.
+        # p_pa / p_t = max(ibo, 1) mean|y| / mean(y^2): at ibo 1e308 the ratio
+        # max(ibo, 1) leaves the range although both power factors are in it.
         cfg = _write_cfg(tmp_path, "system.n_symbols = 600\npa.ibo = 1e308\n"
-                         + "pa.r_load = 1e9\npa.bbpf_over_b = 0.01\n"
-                         + "grid.ibo = 1e308\ngrid.bbpf = 0.01, 0.9\ngrid.systems = sys2\n")
+                         + "pa.r_load = 1e9\npa.bbpf_over_b = 0.9\n"
+                         + "grid.ibo = 1e308\ngrid.bbpf = 0.9\ngrid.systems = sys2\n")
         argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
         assert cli.main(argv + (["--jobs", "1"] if command == "sweep" else [])) == 1
         assert "ibo=1e+308 puts the power factors' ratio max(ibo, 1) above 1e+300" in (

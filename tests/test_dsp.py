@@ -31,7 +31,34 @@ def _mix_down(x_p, fc, fs):
     return 2.0 * x_p * np.conj(np.exp(2j * np.pi * fc * np.arange(len(x_p)) / fs))
 
 
+def _rrc_loop(spec):
+    """The closed form one tap at a time, the reference for design_rrc's array form."""
+    rho, sps = spec.roll_off, spec.samples_per_symbol
+    half = spec.span * sps // 2
+    h = np.zeros(2 * half + 1)
+    for i, n in enumerate(range(-half, half + 1)):
+        t = n / sps
+        if abs(t) < 1e-12:
+            h[i] = 1.0 - rho + 4.0 * rho / np.pi
+        elif rho > 0 and abs(abs(4.0 * rho * t) - 1.0) < 1e-9:
+            h[i] = (rho / np.sqrt(2.0)) * (
+                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * rho))
+                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * rho)))
+        else:
+            num = np.sin(np.pi * t * (1.0 - rho)) + 4.0 * rho * t * np.cos(np.pi * t * (1.0 + rho))
+            h[i] = num / (np.pi * t * (1.0 - (4.0 * rho * t) ** 2))
+    return h / np.sqrt(np.sum(h * h))
+
+
 class TestRrc:
+    # Roll-off 0.25, 0.5 and 1 put taps on |4 rho t| = 1 at these rates.
+    @pytest.mark.parametrize("sps", [4, 8])
+    @pytest.mark.parametrize("span", [8, 16, 17])
+    @pytest.mark.parametrize("roll_off", [0.0, 0.25, 0.5, 1.0])
+    def test_matches_the_tap_by_tap_closed_form(self, roll_off, span, sps):
+        spec = RrcSpec(roll_off=roll_off, span=span, samples_per_symbol=sps)
+        np.testing.assert_array_equal(design_rrc(spec), _rrc_loop(spec))
+
     def test_unit_energy(self):
         taps = design_rrc(RrcSpec())
         assert np.isclose(np.sum(taps ** 2), 1.0, rtol=1e-12)
@@ -94,6 +121,14 @@ class TestButterworth:
         assert np.isclose(_freqz_sos(sos, 30.0, 128.0), 1.0, atol=5e-3)
         for edge in (29.55, 30.45):
             assert np.isclose(_freqz_sos(sos, edge, 128.0), np.sqrt(0.5), atol=2e-2)
+
+    def test_unstable_design_raises(self):
+        # A 1e-14 B bandpass at this carrier puts a pole on the unit circle,
+        # which only the design itself can find.
+        fc, half = 15.594269566389382, 0.5e-14
+        spec = ButterworthSpec(order=4, kind="bandpass", cutoff_low=fc - half, cutoff_high=fc + half)
+        with pytest.raises(ConfigurationError, match="unstable butterworth design"):
+            design_butterworth(spec, fs=128.0)
 
     def test_rejects_cutoff_at_nyquist(self):
         # scipy's own check; SystemConfig.require_band keeps the link below it

@@ -77,6 +77,8 @@ _RUN_KEYS = {
     "pa.ibo": _MAGNITUDE, "pa.r_load": _MAGNITUDE, "channel.alpha": _MAGNITUDE,
     "channel.interference_ratio": _MAGNITUDE, "channel.sinr_db": st.floats(-3300.0, 3300.0),
     "seed": st.integers(0, 2 ** 32),
+    "pa.bbpf_over_b": st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
+    "pa.bpf_order": st.integers(1, 16),
 }
 
 
