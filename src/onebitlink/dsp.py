@@ -264,46 +264,41 @@ def downconvert(x_p, sos, step, fc, fs):
     return sig.sosfilt(d, w)
 
 
-def _paired_at_lag(tx, rx, lag, stride):
-    """tx[n] and rx[lag + stride*n] over all valid n (lag >= 0), as equal-length views."""
-    r = rx[lag::stride][:len(tx)]
-    return tx[:len(r)], r
-
-
 def align(tx, rx_soft, trim, stride):
     """Pair rx_soft with the tx symbols: return (lag, c, tx_kept, rx_kept).
 
     The lag in [0, trim * stride] that maximizes the normalized cross-correlation
-    of tx[n] with rx_soft[lag + stride*n] is chosen, and c is the least-squares
-    fit tx ~ c * rx there: it undoes delay, rotation and gain in one step. The
-    pair is tx[n] and c * rx_soft[lag + stride*n], less trim symbols at each
-    end, so the window spans only delays that the trim discards. A second lag
+    of tx[n] with rx_soft[lag + stride*n] is chosen, by one correlation of tx with
+    each converter phase rx_soft[p::stride] (lags p, p + stride, ...), and c is the
+    least-squares fit tx ~ c * rx there: it undoes delay, rotation and gain in one
+    step. The pair is tx[n] and c * rx_soft[lag + stride*n], less trim symbols at
+    each end, so the window spans only delays that the trim discards. A second lag
     within 1% of the peak issues an AlignmentAmbiguityWarning and the smallest
-    qualifying lag wins; a peak on the last lag may lie beyond the window, so
-    it raises ValueError.
+    qualifying lag wins; a peak on the last lag may lie beyond the window, so it
+    raises ValueError.
     """
-    tx = np.asarray(tx)
-    rx_soft = np.asarray(rx_soft)
+    tx, rx_soft = np.asarray(tx), np.asarray(rx_soft)
     max_lag = trim * stride
-    lags = np.arange(max_lag + 1)
-    metric = np.full(len(lags), -1.0)
-    for k, lag in enumerate(lags):
-        t, r = _paired_at_lag(tx, rx_soft, int(lag), stride)
-        if len(t) == 0:
-            continue
-        metric[k] = np.abs(np.vdot(t, r)) / len(t)
+    rows = len(tx) + trim  # entry q of row p is lag q*stride + p, up to trim*stride
+    padded = np.zeros(rows * stride, dtype=rx_soft.dtype)
+    padded[:len(rx_soft)] = rx_soft[:len(padded)]
+    sums = np.array([np.correlate(row, tx, "valid") for row in padded.reshape(rows, stride).T])
+    # Pairs per lag, min(len(tx), len(rx_soft[lag::stride])); none leaves the metric -1.
+    pairs = np.minimum(len(tx), -((np.arange(max_lag + 1) - len(rx_soft)) // stride))
+    metric = np.where(pairs > 0, np.abs(sums.T.ravel()[:max_lag + 1]) / np.maximum(pairs, 1), -1.0)
     peak = metric.max()
     if peak <= 0.0:
         raise ValueError("no overlap between tx and rx_soft within the lag window")
     if metric.argmax() == max_lag:
         raise ValueError(f"correlation peaks on the last lag {max_lag} of the window")
-    qualifying = lags[metric >= 0.99 * peak]  # always holds the argmax
+    qualifying = np.flatnonzero(metric >= 0.99 * peak)  # always holds the argmax
     if len(qualifying) > 1:
         warnings.warn(
             f"correlation peak is ambiguous across lags {qualifying.tolist()}; "
             f"using the smallest", AlignmentAmbiguityWarning)
     lag = int(qualifying.min())
-    t, r = _paired_at_lag(tx, rx_soft, lag, stride)
+    r = rx_soft[lag::stride][:len(tx)]
+    t = tx[:len(r)]
     c = np.vdot(r, t) / np.vdot(r, r)
     keep = slice(trim, len(t) - trim)
     return lag, c, t[keep], c * r[keep]

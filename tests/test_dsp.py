@@ -287,7 +287,63 @@ class TestBlockRateLowpass:
 
 
 
+def _align_loop(tx, rx_soft, trim, stride):
+    """The lag search one np.vdot per lag, the reference for align's per-phase correlations."""
+    metric = np.full(trim * stride + 1, -1.0)
+    for lag in range(len(metric)):
+        r = rx_soft[lag::stride][:len(tx)]
+        if len(r):
+            metric[lag] = np.abs(np.vdot(tx[:len(r)], r)) / len(r)
+    lag = int(np.flatnonzero(metric >= 0.99 * metric.max()).min())
+    r = rx_soft[lag::stride][:len(tx)]
+    t = tx[:len(r)]
+    c = np.vdot(r, t) / np.vdot(r, r)
+    return lag, c, t[trim:len(t) - trim], c * r[trim:len(t) - trim]
+
+
 class TestAlign:
+    # (rx_soft dtype, stride, delay, len(rx_soft) as a multiple of len(tx) * stride, plus extra)
+    @pytest.mark.parametrize("kind,stride,delay,frames,extra", [
+        ("complex", 4, 27, 1, 0),   # the link's layout, len(rx_soft) = len(tx) * stride
+        ("complex", 4, 13, 1, 3),   # a partial last block
+        ("real", 3, 20, 1, 2),
+        ("complex", 1, 5, 1, 0),
+        ("complex", 3, 25, 0.5, 1),  # rx_soft ends first: every lag has its own pair count
+        ("real", 4, 9, 2, 0),       # rx runs well past the lag window
+    ])
+    def test_matches_the_lag_by_lag_search(self, kind, stride, delay, frames, extra):
+        rng = np.random.default_rng(delay)
+        n = 300
+        if kind == "real":
+            tx, gain = rng.choice([-1.0, 1.0], size=n), 0.7
+        else:
+            tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=n) / np.sqrt(2)
+            gain = 0.7 * np.exp(1j * np.pi / 7)
+        rx = 0.1 * rng.standard_normal(int(frames * n * stride) + extra).astype(tx.dtype)
+        k = len(rx[delay::stride][:n])
+        rx[delay::stride][:k] += gain * tx[:k]
+        got = align(tx, rx, trim=10, stride=stride)
+        expected = _align_loop(tx, rx, trim=10, stride=stride)
+        assert got[0] == expected[0] == delay
+        assert got[1] == expected[1]
+        np.testing.assert_array_equal(got[2], expected[2])
+        np.testing.assert_array_equal(got[3], expected[3])
+
+    def test_ambiguity_matches_the_lag_by_lag_search(self):
+        # Lag 37 has 388 pairs to lag 7's 398: only per-lag pair counts put its
+        # metric (0.995 of lag 7's) within 1% of the peak.
+        rng = np.random.default_rng(9)
+        tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=400) / np.sqrt(2)
+        rx = np.zeros(3 * 400, dtype=complex)
+        rx[7::3] += tx[:398]
+        rx[37::3] += 0.995 * tx[:388]
+        with pytest.warns(AlignmentAmbiguityWarning, match=r"lags \[7, 37\]"):
+            got = align(tx, rx, trim=16, stride=3)
+        expected = _align_loop(tx, rx, trim=16, stride=3)
+        assert got[0] == expected[0] == 7
+        assert got[1] == expected[1]
+        np.testing.assert_array_equal(got[3], expected[3])
+
     def test_pairing_stops_at_the_end_of_rx(self):
         rng = np.random.default_rng(2)
         tx = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=60) / np.sqrt(2)

@@ -1,4 +1,5 @@
-"""Golden outputs: two short `run`s, two short `sweep`s and `amam` must reproduce byte for byte.
+"""Golden outputs: two short `run`s, two short `sweep`s and `amam` must reproduce byte for byte,
+whatever BLAS kernel the CPU picks.
 
 The reference files in tests/data/golden/ were written by the CLI itself. A
 refactor that is meant to leave results alone proves it here; a change that
@@ -10,6 +11,8 @@ and says in CHANGES.md which outputs moved and why.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -65,6 +68,25 @@ def test_outputs_are_byte_identical(name, command, cfg_text, files, jobs, tmp_pa
         with open(os.path.join(GOLDEN, name, file), "rb") as fh:
             expected = fh.read()
         assert (out / file).read_bytes() == expected, f"{name}/{file} differs"
+
+
+# OpenBLAS picks its kernels for the CPU when it loads, and OPENBLAS_CORETYPE
+# overrides that pick in a new process. The kernels sum in different orders,
+# so a result that hangs on rounding shows here. An OpenBLAS built without
+# DYNAMIC_ARCH ignores the variable: the subprocess then runs the default
+# kernel and the test passes trivially.
+@pytest.mark.parametrize("coretype", ["Sandybridge", "Nehalem"])
+def test_run_does_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG, encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "onebitlink.cli", "run", "--config", str(cfg),
+                    "--out", str(tmp_path / "run")], env=env, capture_output=True, timeout=120,
+                   check=True)
+    with open(os.path.join(GOLDEN, "run", "run.csv"), "rb") as fh:
+        assert (tmp_path / "run" / "run.csv").read_bytes() == fh.read()
 
 
 if __name__ == "__main__":
