@@ -1,6 +1,9 @@
 """Measurement suite: mutual information, PSD, occupied bandwidth, and the
 LinkMetrics row, the one place the efficiencies and the FOM are computed.
 The PSD segment is 32 symbols at any sample rate, so b_pa does not depend on it.
+b_pa is read from the amplifier's clipped drive through the bandpass: a Welch
+PSD of the drive, taken once per (system, back-off), times the bandpass's
+|H|^2 (filtered_psd), since a stationary input's filtered PSD is |H|^2 S_x.
 
 Mutual information uses a plug-in joint-histogram estimator. For receivers
 that keep soft values, each real dimension of the aligned output is uniformly
@@ -149,6 +152,20 @@ def welch_psd(x, fs):
     freqs = np.fft.rfftfreq(seg, 1.0 / fs)
     total = float(np.sum(values) * (freqs[1] - freqs[0]))
     return PsdEstimate(freqs=freqs, values=values, total_power=total)
+
+
+def filtered_psd(psd, sos, fs):
+    """The PSD after the filter `sos` at fs: S_y = |H(e^{j 2 pi f / fs})|^2 S_x on psd's grid.
+
+    |H|^2 is the product over the second-order sections of |b(u)|^2 / |a(u)|^2,
+    u = e^{-j 2 pi f / fs}, evaluated elementwise (the bits depend on no BLAS kernel).
+    """
+    u = np.exp(-2j * np.pi * psd.freqs / fs)
+    values = psd.values.copy()
+    for b0, b1, b2, a0, a1, a2 in sos:
+        values *= np.abs((b2 * u + b1) * u + b0) ** 2 / np.abs((a2 * u + a1) * u + a0) ** 2
+    total = float(np.sum(values) * (psd.freqs[1] - psd.freqs[0]))
+    return PsdEstimate(freqs=psd.freqs, values=values, total_power=total)
 
 
 def occupied_bandwidth(psd, fc):

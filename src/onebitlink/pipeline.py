@@ -34,7 +34,7 @@ VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
 # run's traced peak is about 0.8 complex frames (0.80-0.82 for sys1-3 at the
-# default frame with the _lowpass_and_noise cache cleared).
+# default frame with both caches cleared).
 MAX_FRAME_SAMPLES = 2 ** 24
 
 
@@ -155,14 +155,34 @@ def _lowpass_and_noise(seed, n, lpf, step, fc, fs):
     return sos, noise
 
 
+# The clipped drive's PSD for the last (SystemConfig, ibo), read-only. The
+# drive does not depend on the bandpass, r_load or the channel, so every width
+# of a sweep row reads its b_pa from this one Welch estimate.
+_drive_psd = {}
+
+
+def _clipped_drive_psd(v, sys_cfg, ibo):
+    """Welch PSD of the clipped drive v over the measurement window, cached."""
+    key = (sys_cfg, ibo)
+    if key not in _drive_psd:
+        psd = metrics_mod.welch_psd(v[sys_cfg.window], sys_cfg.fs())
+        psd.freqs.flags.writeable = psd.values.flags.writeable = False
+        _drive_psd.clear()
+        _drive_psd[key] = psd
+    return _drive_psd[key]
+
+
 def run_link(sys_cfg, pa_cfg, ch_cfg):
     """Run the full chain once and return LinkMetrics.
 
     The configured seed feeds a SeedSequence whose two children drive the
     symbol source and the channel noise; the noise child feeds the cached
-    receiver noise (_lowpass_and_noise). Identical configurations reproduce
-    bit-identical metrics. Each frame-length intermediate is rebound or
-    deleted once its successor exists, so it is freed after its last use.
+    receiver noise (_lowpass_and_noise). b_pa is read from the bandpass's
+    |H|^2 times the clipped drive's Welch PSD, S_y = |H|^2 S_v, which is
+    taken once per (SystemConfig, ibo) in the pa stage and cached
+    (_clipped_drive_psd). Identical configurations reproduce bit-identical
+    metrics. Each frame-length intermediate is rebound or deleted once its
+    successor exists, so it is freed after its last use.
     """
     fs = sys_cfg.fs()
     n_frame = sys_cfg.n_symbols * sys_cfg.analog_sps
@@ -198,8 +218,11 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         with np.errstate(over="ignore"):
             wave /= np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])) * s
         bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
-        # Clipped and filtered in place: y is the drive's own buffer.
-        y = pa_mod.bandpass_reconstruct(pa_mod.clip(wave, pa_cfg.ibo / s), bpf_sos)
+        # Clipped and filtered in place: y is the drive's own buffer, so the
+        # drive's PSD is taken between the two.
+        v = pa_mod.clip(wave, pa_cfg.ibo / s)
+        drive_psd = _clipped_drive_psd(v, sys_cfg, pa_cfg.ibo)
+        y = pa_mod.bandpass_reconstruct(v, bpf_sos)
         mean_square = pa_mod.transmit_power(y, sys_cfg.window)
         p_pa = f_pa * pa_mod.pa_power(y, sys_cfg.window)
         p_t = f_t * mean_square
@@ -225,7 +248,7 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     with _stage("metrics"):
         mi = metrics_mod.mutual_information(tx_kept, rx_kept, sys_cfg.mi_bins)
         rate_r = sys_cfg.b * mi
-        psd = metrics_mod.welch_psd(y[sys_cfg.window], fs)
+        psd = metrics_mod.filtered_psd(drive_psd, bpf_sos, fs)
         b_pa = metrics_mod.occupied_bandwidth(psd, sys_cfg.fc())
         return metrics_mod.LinkMetrics.from_measurements(
             mi, rate_r, b_pa, p_pa, p_t, noise_ratio / sys_cfg.b)

@@ -45,9 +45,11 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
     # per variant, except three that stay callable and traced: zoh_hold and
     # iir_filter, kept only for perfbench (the pa bandpass calls sosfilt block
     # by block itself); and add_awgn, since run_link adds the noise that
-    # _lowpass_and_noise caches after the receive front end. The cache is
-    # cleared first, so its lowpass design and noise draw run whatever ran before.
+    # _lowpass_and_noise caches after the receive front end. Both caches are
+    # cleared first, so the lowpass design, the noise draw and the clipped
+    # drive's welch_psd (in the pa stage on a miss) run whatever ran before.
     pipeline._lowpass_and_noise.cache_clear()
+    pipeline._drive_psd.clear()
     calls = {}
     for module, attr in _constant("TRACED"):
         if (module, attr) in (("cli", "main"), ("optimizer", "grid_search")):
