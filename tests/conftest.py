@@ -14,9 +14,11 @@ settings.load_profile("tier1")
 @pytest.fixture
 def fake_pool(monkeypatch):
     """fake_pool(cpus) swaps the process pool for an in-process fake on a `cpus`-core
-    machine and returns the list of max_workers values the pool was started with."""
+    machine and returns the list of max_workers values the pool was started with.
+    fake_pool(cpus, mapped) also appends to the list `mapped` the list of tasks
+    each map call received."""
 
-    def install(cpus):
+    def install(cpus, mapped=None):
         started = []
 
         class Pool:
@@ -30,6 +32,8 @@ def fake_pool(monkeypatch):
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                if mapped is not None:
+                    mapped.append(list(tasks))
                 return map(fn, tasks)
 
         monkeypatch.setattr(optimizer, "ProcessPoolExecutor", Pool)

@@ -1,4 +1,6 @@
 import os
+import time
+import types
 import warnings
 from dataclasses import replace
 
@@ -21,6 +23,11 @@ def _metrics(fom_norm, mi=1.5):
 def _warning_runner(system, ibo, bbpf, seed):
     warnings.warn(f"point {ibo} {bbpf}", AlignmentAmbiguityWarning)
     return _metrics(1.0)
+
+
+def _pid_runner(system, ibo, bbpf, seed):
+    time.sleep(0.01)  # long enough that both workers of a pool take tasks
+    return types.SimpleNamespace(fom_normalized=0.0, pid=os.getpid())
 
 
 def _configs(n_symbols=1500):
@@ -133,6 +140,17 @@ class TestRealEvaluation:
         for a, b in zip(serial.points, parallel.points):
             assert a.metrics == b.metrics
 
+    def test_each_row_runs_in_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        grid = GridSpec((0.1, 1.0), (0.8, 0.9), ("sys1", "sys2", "sys3"))
+        res = grid_search(grid, *_configs(), jobs=2, runner=_pid_runner)
+        assert res.workers == 2
+        pids = {}
+        for p in res.points:
+            pids.setdefault((p.system, p.ibo), set()).add(p.metrics.pid)
+        assert len(pids) == 6
+        assert all(len(row) == 1 for row in pids.values())
+
     def test_point_warnings_reach_the_caller_in_grid_order(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         grid = GridSpec((0.1, 1.0), (0.8, 0.9), ("sys2",))
@@ -186,3 +204,24 @@ class TestJobs:
                           runner=lambda *task: _metrics(1.0))
         assert started == []
         assert res.workers == 1
+
+    @pytest.mark.parametrize("cpus,ibo,bbpf,systems,lengths", [
+        (2, (0.1, 0.3, 1.0, 2.0), (0.8, 0.9), ("sys1", "sys2", "sys3"), [2] * 12),
+        (4, (0.1,), (0.5, 0.6, 0.7, 0.8, 0.9), ("sys2",), [2, 1, 1, 1]),
+        (4, (0.1, 1.0), (0.5, 0.6, 0.7), ("sys2",), [2, 1, 2, 1]),
+        (16, (0.1, 1.0), (0.8, 0.9), ("sys1", "sys3"), [1] * 8),
+        (3, (0.1,), (0.8,), ("sys1", "sys2", "sys3"), [1, 1, 1]),
+    ])
+    def test_pool_takes_whole_rows_split_only_for_idle_workers(self, fake_pool, cpus, ibo,
+                                                                bbpf, systems, lengths):
+        mapped = []
+        fake_pool(cpus, mapped)
+        res = grid_search(GridSpec(ibo, bbpf, systems), *_configs(), jobs=64,
+                          runner=lambda *task: _metrics(1.0))
+        [pieces] = mapped
+        grid_order = [(s, i, b) for s in sorted(systems) for i in ibo for b in bbpf]
+        assert [t[:3] for piece in pieces for t in piece] == grid_order
+        assert [(p.system, p.ibo, p.b_bpf) for p in res.points] == grid_order
+        assert all(len({t[:2] for t in piece}) == 1 for piece in pieces)  # one row each
+        assert len(pieces) >= res.workers
+        assert [len(piece) for piece in pieces] == lengths
