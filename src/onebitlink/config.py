@@ -52,10 +52,12 @@ def _float_list(text):
         if step <= 0 or hi < lo:
             raise ValueError("range needs step > 0 and hi >= lo")
         # Bounded by count, not by (hi - lo) / step: a step below the spacing
-        # of floats near lo leaves lo + k * step unchanged for many k.
+        # of floats near lo leaves lo + k * step unchanged for many k. Rounded
+        # relative to the step, so a range of tiny values keeps them apart.
+        ndigits = max(10, 9 - math.floor(math.log10(step)))
         out = []
         for k in range(optimizer.MAX_GRID_POINTS + 1):
-            v = round(lo + k * step, 10)
+            v = round(lo + k * step, ndigits)
             if v > hi + step * 1e-6:
                 return tuple(out)
             out.append(v)
@@ -164,6 +166,6 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)

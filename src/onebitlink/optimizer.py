@@ -104,10 +104,6 @@ def _eval_point(runner, task):
     return GridPoint(system, ibo, bbpf, metrics, error, raised)
 
 
-def _eval_piece(runner, piece):
-    return [_eval_point(runner, t) for t in piece]
-
-
 def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     """Evaluate every grid point and return a GridResult.
 
@@ -118,11 +114,9 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     Points run concurrently when jobs > 1, in a process pool of
     min(jobs, points, cpus) workers; tasks are built in (system, ibo, b_bpf)
     order and both paths keep it, so the output is independent of scheduling.
-    Both paths evaluate the tasks in pieces, one whole (system, ibo) row each,
-    so a pool worker runs a row's widths in turn and its cached drive PSD
-    (pipeline._clipped_drive_psd, keyed by the row and the sweep's one seed)
-    serves all of them; with fewer rows than workers each row is split into
-    ceil(workers / rows) contiguous runs, so every worker gets a piece.
+    The pool takes chunks of consecutive tasks: whole (system, ibo) rows, so a
+    worker's per-row cache serves a row's widths in turn, unless there are
+    fewer rows than workers; then a chunk holds ceil(points / workers) points.
     The warnings each point raised are re-emitted here, in the same order.
     Per-point failures are recorded, not fatal; the argmax per system is
     taken over its successful points, with exact FOM ties broken toward
@@ -132,24 +126,18 @@ def grid_search(grid, sys_cfg, pa_cfg, ch_cfg, jobs=1, runner=None):
     jobs = worker_count(jobs)
     if runner is None:
         runner = functools.partial(_run_point, sys_cfg, pa_cfg, ch_cfg)
-    rows = [[(system, float(ibo), float(bbpf), sys_cfg.seed) for bbpf in grid.bbpf_values]
-            for system in sorted(grid.systems)
-            for ibo in grid.ibo_values]
-    n_bbpf = len(grid.bbpf_values)
-
-    workers = min(jobs, len(rows) * n_bbpf, os.cpu_count() or 1)
-    # One run per row unless rows are fewer than workers; lengths differ by at most one.
-    runs = -(-workers // len(rows))
-    size, extra = divmod(n_bbpf, runs)
-    cuts = [j * size + min(j, extra) for j in range(runs + 1)]
-    pieces = [row[a:b] for row in rows for a, b in zip(cuts, cuts[1:])]
-    evaluate = functools.partial(_eval_piece, runner)
+    tasks = [(system, float(ibo), float(bbpf), sys_cfg.seed)
+             for system in sorted(grid.systems)
+             for ibo in grid.ibo_values
+             for bbpf in grid.bbpf_values]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    evaluate = functools.partial(_eval_point, runner)
     if workers == 1:
-        done = [evaluate(piece) for piece in pieces]
+        points = [evaluate(t) for t in tasks]
     else:
+        chunk = min(len(grid.bbpf_values), -(-len(tasks) // workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(evaluate, pieces))
-    points = [p for piece in done for p in piece]
+            points = list(pool.map(evaluate, tasks, chunksize=chunk))
 
     for p in points:
         for category, message, filename, lineno in p.warnings:

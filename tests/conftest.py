@@ -15,8 +15,9 @@ settings.load_profile("tier1")
 def fake_pool(monkeypatch):
     """fake_pool(cpus) swaps the process pool for an in-process fake on a `cpus`-core
     machine and returns the list of max_workers values the pool was started with.
-    fake_pool(cpus, mapped) also appends to the list `mapped` the list of tasks
-    each map call received."""
+    fake_pool(cpus, mapped) also appends to the list `mapped` the chunks each map
+    call cut its tasks into: like ProcessPoolExecutor.map, consecutive tuples of
+    `chunksize` tasks, the last one possibly shorter."""
 
     def install(cpus, mapped=None):
         started = []
@@ -32,8 +33,10 @@ def fake_pool(monkeypatch):
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
                 if mapped is not None:
-                    mapped.append(list(tasks))
+                    mapped.append([tuple(tasks[i:i + chunksize])
+                                   for i in range(0, len(tasks), chunksize)])
                 return map(fn, tasks)
 
         monkeypatch.setattr(optimizer, "ProcessPoolExecutor", Pool)

@@ -139,6 +139,18 @@ class TestSweep:
                              "--ibo", ibo, "--bbpf", bbpf, "--out", str(out)]) == 0
             assert (out / "run.csv").read_text().splitlines()[1] == row
 
+    def test_range_of_tiny_back_offs_runs_like_its_list(self, tmp_path, capsys):
+        outputs = []
+        for name, ibo in (("range", "1e-11:1e-11:3e-11"), ("list", "1e-11, 2e-11, 3e-11")):
+            cfg = _write_cfg(tmp_path, FAST_CFG + f"grid.ibo = {ibo}\ngrid.bbpf = 0.9\n"
+                             + "grid.systems = sys2\n", name=f"{name}.cfg")
+            assert cli.main(["sweep", "--config", cfg, "--jobs", "1",
+                             "--out", str(tmp_path / name)]) == 0
+            out = capsys.readouterr().out.replace(str(tmp_path / name), "OUT")
+            outputs.append((out, (tmp_path / name / "grid.csv").read_text()))
+        assert outputs[0] == outputs[1]
+        assert "(3 ok, 0 failed)" in outputs[0][0]
+
     def test_system_flag_restricts(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(FAST_CFG + "grid.ibo = 0.1\ngrid.bbpf = 0.9\n")
@@ -316,6 +328,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "configuration error" in err and "output directory must not be empty" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty_out.cfg"]
+
+    def test_config_file_not_in_utf8_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(FAST_CFG.encode() + "# r\xe9glage\n".encode("latin-1"))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cannot read config file" in err
+        assert "latin1.cfg" in err
+        assert not (tmp_path / "o").exists()
 
     def test_comment_after_value_exits_1_without_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

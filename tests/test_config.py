@@ -54,6 +54,11 @@ def test_range_is_inclusive_of_endpoint():
     np.testing.assert_allclose(cfg.grid_bbpf, np.arange(0.4, 2.01, 0.2))
 
 
+def test_range_of_tiny_values_keeps_them_apart():
+    cfg = parse_config_text("grid.ibo = 1e-11:1e-11:3e-11\n")
+    assert cfg.grid_ibo == (1e-11, 2e-11, 3e-11)
+
+
 def test_unknown_key_rejected_with_line_number():
     with pytest.raises(ConfigurationError, match="line 2"):
         parse_config_text("seed = 1\nnot.a.key = 3\n")

@@ -207,10 +207,11 @@ class TestJobs:
 
     @pytest.mark.parametrize("cpus,ibo,bbpf,systems,lengths", [
         (2, (0.1, 0.3, 1.0, 2.0), (0.8, 0.9), ("sys1", "sys2", "sys3"), [2] * 12),
-        (4, (0.1,), (0.5, 0.6, 0.7, 0.8, 0.9), ("sys2",), [2, 1, 1, 1]),
-        (4, (0.1, 1.0), (0.5, 0.6, 0.7), ("sys2",), [2, 1, 2, 1]),
+        (4, (0.1,), (0.5, 0.6, 0.7, 0.8, 0.9), ("sys2",), [2, 2, 1]),
+        (4, (0.1, 1.0), (0.5, 0.6, 0.7), ("sys2",), [2, 2, 2]),
         (16, (0.1, 1.0), (0.8, 0.9), ("sys1", "sys3"), [1] * 8),
         (3, (0.1,), (0.8,), ("sys1", "sys2", "sys3"), [1, 1, 1]),
+        (4, (0.1, 0.3, 1.0), (0.5, 0.6, 0.7, 0.8, 0.9), ("sys2",), [4, 4, 4, 3]),
     ])
     def test_pool_takes_whole_rows_split_only_for_idle_workers(self, fake_pool, cpus, ibo,
                                                                 bbpf, systems, lengths):
@@ -218,10 +219,12 @@ class TestJobs:
         fake_pool(cpus, mapped)
         res = grid_search(GridSpec(ibo, bbpf, systems), *_configs(), jobs=64,
                           runner=lambda *task: _metrics(1.0))
-        [pieces] = mapped
+        [chunks] = mapped
         grid_order = [(s, i, b) for s in sorted(systems) for i in ibo for b in bbpf]
-        assert [t[:3] for piece in pieces for t in piece] == grid_order
+        assert [t[:3] for chunk in chunks for t in chunk] == grid_order
         assert [(p.system, p.ibo, p.b_bpf) for p in res.points] == grid_order
-        assert all(len({t[:2] for t in piece}) == 1 for piece in pieces)  # one row each
-        assert len(pieces) >= res.workers
-        assert [len(piece) for piece in pieces] == lengths
+        assert [len(chunk) for chunk in chunks] == lengths
+        assert max(lengths) <= -(-len(grid_order) // res.workers)
+        if len(systems) * len(ibo) >= res.workers:
+            assert all(len({t[:2] for t in chunk}) == 1 for chunk in chunks)  # one row each
+            assert len(chunks) >= res.workers
