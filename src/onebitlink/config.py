@@ -162,9 +162,9 @@ def parse_config_text(text):
 
 
 def load_config(path):
-    """Read and parse a configuration file."""
+    """Read and parse a configuration file, UTF-8 with or without a byte-order mark."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc

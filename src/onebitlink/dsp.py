@@ -6,6 +6,7 @@ multiples of the baud rate B).
 """
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,17 +145,28 @@ def zoh_hold(x, M):
 
 
 # Multiply-adds per matrix-product block: OpenBLAS runs a product this small on
-# the calling thread, so the --jobs worker processes stay the only parallelism.
+# the calling thread and starts no threads of its own. The parallelism is the
+# --jobs worker processes and run_link's one receiver-noise helper thread.
 _BLAS_BLOCK = 2 ** 16
 
 
-def _matmul(a, b):
-    """a @ b for real a and b, in blocks of at most _BLAS_BLOCK multiply-adds."""
-    (m, k), n = a.shape, b.shape[1]
-    out = np.empty((m, n))
+def _tiles(k, n):
+    """(mt, kt, nt): _matmul's row, inner and column tiles for a (m x k) by (k x n) product."""
     kt = min(k, _BLAS_BLOCK)
     nt = min(n, max(1, _BLAS_BLOCK // kt))
-    mt = max(1, _BLAS_BLOCK // (kt * nt))
+    return max(1, _BLAS_BLOCK // (kt * nt)), kt, nt
+
+
+def _matmul(a, b):
+    """a @ b for real a and b, in blocks of at most _BLAS_BLOCK multiply-adds.
+
+    BLAS kernels may round a row differently at another place in its block, so
+    a row's result is fixed only by the row tiles mt: runs of whole tiles give
+    the rows of the whole product bit for bit.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    out = np.empty((m, n))
+    mt, kt, nt = _tiles(k, n)
     for p in range(0, k, kt):
         for j in range(0, n, nt):
             for i in range(0, m, mt):
@@ -164,6 +176,21 @@ def _matmul(a, b):
                 else:
                     out[i:i + mt, j:j + nt] = part
     return out
+
+
+def _whole_tiles(pieces, size):
+    """A frame's consecutive pieces regrouped as runs of whole size-sample tiles, then the rest."""
+    rest = np.empty(0)
+    for piece in pieces:
+        x = np.concatenate([rest, piece]) if len(rest) else np.asarray(piece, dtype=np.float64)
+        del piece
+        cut = len(x) - len(x) % size
+        rest = x[cut:].copy()
+        if cut:
+            yield x[:cut]
+        del x
+    if len(rest):
+        yield rest
 
 
 def _look_ahead(sos, M):
@@ -195,13 +222,13 @@ def _look_ahead(sos, M):
     return f, d
 
 
-def _phasors(turn, n):
-    """exp(j 2 pi turn k) for k < n: the carrier phasors of upconvert and downconvert.
+def _phasors(turn, k):
+    """exp(j 2 pi turn k) at the sample indices k: the carriers of upconvert and downconvert.
 
     The phase is reduced to a fraction of a turn before it is scaled by 2 pi,
     so it stays exact for large k instead of growing with the index.
     """
-    phase = turn % 1.0 * np.arange(n)
+    phase = turn % 1.0 * k
     angle = 2.0 * np.pi * (phase - np.floor(phase))
     return np.cos(angle) + 1j * np.sin(angle)
 
@@ -221,8 +248,8 @@ def upconvert(u, sos, hold, fc, fs):
     f, d = _look_ahead(sos, hold)
     g = np.cumsum(f)
     g[hold:] -= g[:-hold].copy()
-    g = g.astype(np.float64) * _phasors(fc / fs, len(g))
-    v = sig.sosfilt(d, np.asarray(u)) * _phasors(fc * hold / fs, len(u))
+    g = g.astype(np.float64) * _phasors(fc / fs, np.arange(len(g)))
+    v = sig.sosfilt(d, np.asarray(u)) * _phasors(fc * hold / fs, np.arange(len(u)))
     n_lags = len(g) // hold
     # lags[n, l] = v[n - l], zero before the frame: windows of the zero-led v, reversed.
     padded = np.concatenate([np.zeros(n_lags - 1), v])
@@ -242,25 +269,47 @@ def downconvert(x_p, sos, step, fc, fs):
     filtering equals filtering with the modulated taps 2 f[k] exp(j 2 pi fc k / fs)
     and mixing output n by conj(w)^n, w = exp(j 2 pi fc step / fs): the real
     frame meets complex taps in one real product, and no baseband frame is built.
-    x_p must be whole blocks of step samples (a partial block raises
-    ValueError); SystemConfig guarantees step >= 1 and fs > 2 fc.
+    x_p is the frame as one array, or as an iterator over its consecutive
+    pieces of any length. Pieces are regrouped into runs of whole row tiles
+    of the product (a BLAS kernel may round a row by its place in a tile),
+    and each run goes through the product, the shifted adds and the mixer
+    while it is in cache, carrying its last L-1 product rows to the next; the
+    D sections then filter the mixed output once. So the output equals the
+    array call's bit for bit, and no frame is held. The frame must be whole
+    blocks of step samples (a partial block raises ValueError); SystemConfig
+    guarantees step >= 1 and fs > 2 fc.
     """
-    x = np.asarray(x_p, dtype=np.float64)
-    if len(x) % step:
-        raise ValueError(f"frame of {len(x)} samples is not whole blocks of {step}")
     f, d = _look_ahead(sos, step)
-    n_out = len(x) // step
     n_taps = len(f) - step + 1  # the rest of f is zero padding
-    f = 2.0 * f[:n_taps].astype(np.float64) * _phasors(fc / fs, n_taps)
+    f = 2.0 * f[:n_taps].astype(np.float64) * _phasors(fc / fs, np.arange(n_taps))
     # taps[c, l] = f[l*step - c]: sample c of block n-l feeds output n.
     padded = np.concatenate([np.zeros(step - 1), f])
-    taps = np.ascontiguousarray(padded.reshape(-1, step)[:, ::-1].T)
-    mix = _phasors(fc * step / fs, n_out).conj()
-    parts = _matmul(x.reshape(n_out, step), taps.view(np.float64)).view(np.complex128)
-    w = parts[:, 0].copy()
-    for lag in range(1, parts.shape[1]):
-        w[lag:] += parts[:n_out - lag, lag]
-    w *= mix
+    taps = np.ascontiguousarray(padded.reshape(-1, step)[:, ::-1].T).view(np.float64)
+    n_lags = taps.shape[1] // 2
+    runs = _whole_tiles(x_p, _tiles(*taps.shape)[0] * step) if isinstance(x_p, Iterator) else [x_p]
+    tail = np.empty((0, n_lags), dtype=np.complex128)  # the frame's last product rows so far
+    mixed, start = [], 0
+    for run in runs:
+        x = np.asarray(run, dtype=np.float64)
+        n, t = len(x) // step, len(tail)
+        if len(x) % step:
+            raise ValueError(
+                f"frame of {start * step + len(x)} samples is not whole blocks of {step}")
+        mix = _phasors(fc * step / fs, np.arange(start, start + n)).conj()
+        parts = _matmul(x.reshape(n, step), taps).view(np.complex128)
+        del run, x  # the samples go before the next piece is drawn
+        if t:
+            parts = np.concatenate([tail, parts])
+        # Output i sums parts[t + i - lag, lag] over the lags in order, back to the frame's start.
+        w = parts[t:, 0].copy()
+        for lag in range(1, min(n_lags, t + n)):
+            w[max(lag - t, 0):] += parts[max(t - lag, 0):t + n - lag, lag]
+        w *= mix
+        mixed.append(w)
+        tail = parts[max(len(parts) - n_lags + 1, 0):].copy()
+        start += n
+    w = mixed[0] if len(mixed) == 1 else np.concatenate(mixed)
+    del mixed
     return sig.sosfilt(d, w)
 
 

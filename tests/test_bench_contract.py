@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import importlib.util
 import os
+import threading
 import types
 
 import numpy as np
@@ -45,10 +46,11 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
     # per variant, except three that stay callable and traced: zoh_hold and
     # iir_filter, kept only for perfbench (the pa bandpass calls sosfilt block
     # by block itself); and add_awgn, since run_link adds the noise that
-    # _lowpass_and_noise caches after the receive front end. Both caches are
+    # _lowpass_and_noise caches after the receive front end. The caches are
     # cleared first, so the lowpass design, the noise draw and the clipped
     # drive's welch_psd (in the pa stage on a miss) run whatever ran before.
     pipeline._lowpass_and_noise.cache_clear()
+    pipeline._lowpass.cache_clear()
     pipeline._drive_psd.clear()
     calls = {}
     for module, attr in _constant("TRACED"):
@@ -69,6 +71,29 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
                           ChannelConfig())
     assert sorted(n for n, count in calls.items() if count == 0) == [
         "channel.add_awgn", "dsp.iir_filter", "dsp.zoh_hold"]
+
+
+def test_traced_functions_run_on_the_calling_thread(monkeypatch):
+    # perfbench keeps one span stack per process, so a traced function that
+    # run_link's noise helper thread called would nest under whatever span the
+    # main thread had open. On a cold run every traced call is on the caller's
+    # thread.
+    pipeline._lowpass_and_noise.cache_clear()
+    pipeline._lowpass.cache_clear()
+    pipeline._drive_psd.clear()
+    threads = set()
+    for module, attr in _constant("TRACED"):
+        owner = importlib.import_module(f"onebitlink.{module}")
+
+        def recorded(*args, _fn=getattr(owner, attr), **kwargs):
+            threads.add(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, recorded)
+    sys_cfg = pipeline.SystemConfig(n_symbols=500)
+    pipeline.run_link(sys_cfg, PaConfig(bpf=pipeline.bpf_spec_for(0.9, sys_cfg, 4)),
+                      ChannelConfig())
+    assert threads == {threading.get_ident()}
 
 
 def test_frame_config_keys_parse():

@@ -34,6 +34,15 @@ class TestRun:
         assert ((tmp_path / "a" / "run.csv").read_bytes()
                 == (tmp_path / "b" / "run.csv").read_bytes())
 
+    def test_config_with_a_byte_order_mark_runs_as_without(self, tmp_path):
+        plain = _write_cfg(tmp_path, FAST_CFG + "seed = 3\n")
+        marked = tmp_path / "bom.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + (FAST_CFG + "seed = 3\n").encode())
+        assert cli.main(["run", "--config", plain, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["run", "--config", str(marked), "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "run.csv").read_bytes()
+                == (tmp_path / "b" / "run.csv").read_bytes())
+
     def test_flag_overrides(self, tmp_path):
         cfg = _write_cfg(tmp_path, FAST_CFG)
         rc = cli.main(["run", "--config", cfg, "--system", "sys3", "--ibo", "1.0",

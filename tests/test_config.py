@@ -97,6 +97,14 @@ def test_load_config_round_trip(tmp_path):
     assert load_config(str(p)).ibo == 2.5
 
 
+def test_load_config_reads_past_a_byte_order_mark(tmp_path):
+    # Some editors start a UTF-8 file with the mark EF BB BF; it is not part
+    # of the first key.
+    p = tmp_path / "bom.cfg"
+    p.write_bytes(b"\xef\xbb\xbfseed = 3\n")
+    assert load_config(str(p)).seed == 3
+
+
 def test_builders_are_consistent():
     cfg = parse_config_text("pa.bbpf_over_b = 1.1\nsystem.variant = sys1\n")
     sys_cfg = cfg.system_config()

@@ -2,6 +2,8 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -245,18 +247,22 @@ class TestRunLink:
         # Each frame-length buffer is freed after its last stage, and the pa
         # stage clips and filters the drive in place, so y_p is the one real
         # frame a run holds. At the paper frame the peak, about 0.82 complex
-        # frames, is in the rx stage, where y_p meets the receive kernel's
-        # block-rate products; on a drive-PSD miss the pa stage also holds the
-        # clipped drive next to one block of PSD transforms. A bandpass output
-        # next to the drive, or a frame-length square of the drive for its
-        # RMS, takes it past 1.0.
+        # frames, is in the dac or pa stage while the helper thread draws the
+        # receiver noise one piece at a time, or in the rx stage, where y_p
+        # meets the receive kernel's block-rate products; on a drive-PSD miss
+        # the pa stage also holds the clipped drive next to one block of PSD
+        # transforms. A bandpass output next to the drive, a frame-length
+        # square of the drive for its RMS, or a noise frame drawn whole next
+        # to the drive takes it past 0.9.
         # At 2000 symbols fixed-size buffers weigh more, hence the looser bound.
-        # Both caches are cleared first, so the noise draw and the drive's PSD
-        # are counted.
-        cases = [("sys2", 2000, 4.5)] + [(v, 10000, 0.9) for v in VARIANTS]
+        # The caches are cleared first, so the noise draw and the drive's PSD
+        # are counted. The helper's pieces overlap the main thread's stages as
+        # the threads are scheduled, so each paper-frame variant runs 5 times.
+        cases = [("sys2", 2000, 4.5)] + [(v, 10000, 0.9) for v in VARIANTS for _ in range(5)]
         for variant, n_symbols, bound in cases:
             sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=n_symbols)
             pipeline._lowpass_and_noise.cache_clear()
+            pipeline._lowpass.cache_clear()
             pipeline._drive_psd.clear()
             tracemalloc.start()
             try:
@@ -315,6 +321,7 @@ class TestRunLink:
 
         monkeypatch.setattr(dsp, "design_butterworth", counted)
         pipeline._lowpass_and_noise.cache_clear()
+        pipeline._lowpass.cache_clear()
         for expected in (["lowpass", "bandpass"], ["bandpass"]):
             designed.clear()
             run_link(*_configs(n_symbols=500))
@@ -407,6 +414,94 @@ class TestRunLink:
             run_link(sys_cfg, pa_cfg, ChannelConfig())
         assert err.value.stage == "pa"
         assert "pa" in str(err.value)
+
+
+class TestNoiseHelper:
+    """On a receiver-noise cache miss run_link draws the noise on one helper
+    thread while the transmit chain runs, and joins it before the rx stage."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The threads started while the test runs, in order."""
+        threads = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        return threads
+
+    def test_a_miss_starts_one_helper_and_a_hit_none(self, started):
+        point = _configs(n_symbols=500)
+        pipeline._lowpass_and_noise.cache_clear()
+        run_link(*point)
+        assert len(started) == 1
+        run_link(*point)
+        assert len(started) == 1
+
+    def test_no_thread_outlives_run_link(self, started):
+        before = set(threading.enumerate())
+        pipeline._lowpass_and_noise.cache_clear()
+        run_link(*_configs(n_symbols=500))
+        assert len(started) == 1 and not started[0].is_alive()
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_cold_runs_under_a_short_switch_interval_match_warm_ones(self):
+        # The helper and the main thread share the noise cache. A thread
+        # switch every 10 us interleaves them at nearly every bytecode; a cold
+        # run must still read the noise the helper drew, as a warm run does.
+        points = [_configs(variant=v, n_symbols=500, seed=seed)
+                  for v, seed in (("sys1", 1), ("sys2", 2), ("sys3", 3), ("sys2", 2))]
+        warm = []
+        for point in points:
+            run_link(*point)
+            warm.append(dataclasses.asdict(run_link(*point)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            cold = []
+            for point in points:
+                pipeline._lowpass_and_noise.cache_clear()
+                cold.append(dataclasses.asdict(run_link(*point)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert cold == warm
+
+    def test_a_failed_draw_is_a_source_stage_error(self, started, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("no noise drawn")
+
+        monkeypatch.setattr(pipeline, "_receive_kernel", broken)
+        point = _configs(n_symbols=500)
+        pipeline._lowpass_and_noise.cache_clear()
+        with pytest.raises(StageError) as err:
+            run_link(*point)
+        assert err.value.stage == "source" and "no noise drawn" in str(err.value)
+        assert not started[0].is_alive()
+        # Nothing was cached, so the next run draws again.
+        monkeypatch.setattr(pipeline, "_receive_kernel", dsp.downconvert)
+        run_link(*point)
+        assert len(started) == 2
+
+    def test_a_failing_chain_still_joins_the_helper(self, started, monkeypatch):
+        # The helper is held back, so it is still drawing when the pa stage raises.
+        def slow(*args, _fn=pipeline._receive_kernel):
+            time.sleep(0.2)
+            return _fn(*args)
+
+        def broken_clip(*args):
+            raise RuntimeError("clip failed")
+
+        monkeypatch.setattr(pipeline, "_receive_kernel", slow)
+        monkeypatch.setattr(pa, "clip", broken_clip)
+        pipeline._lowpass_and_noise.cache_clear()
+        with pytest.raises(StageError) as err:
+            run_link(*_configs(n_symbols=500))
+        assert err.value.stage == "pa"
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 def _point_with_output(variant, bbpf, monkeypatch):
