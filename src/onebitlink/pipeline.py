@@ -12,7 +12,6 @@ and returns the full LinkMetrics row.
 
 import functools
 import math
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -34,8 +33,8 @@ _VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (Fa
 VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
-# run's traced peak is about 0.8 complex frames (0.81-0.86 for sys1-3 at the
-# default frame with the caches cleared).
+# run's traced peak is about 0.8 complex frames (0.83-0.86 for sys1-3 at the
+# default frame with the caches cleared, 0.77-0.79 warm).
 MAX_FRAME_SAMPLES = 2 ** 24
 
 
@@ -146,70 +145,27 @@ def _lowpass(lpf, fs):
     return sos
 
 
-# Samples per receiver-noise draw: a piece and its products stay in cache, and
-# the helper adds about 0.04 complex frames to a cold run's peak (2^17-sample
-# pieces read 0.88 against the 0.9 of test_peak_memory_stays_below_one_frame).
-_NOISE_BLOCK = 2 ** 16
-
-# The receive kernel as imported. The noise helper thread calls it by this
-# name, so a wrapper later installed on dsp.downconvert (perfbench's spans keep
-# one stack per process) sees only the main thread's call.
-_receive_kernel = dsp.downconvert
-
-# The arguments of _lowpass_and_noise's one entry, unless its cache was cleared.
-_noise_args = None
+@functools.lru_cache(maxsize=1)
+def _noise_root(lpf, step, fs, k):
+    """dsp.circulant_root of the receiver noise's autocovariance over k ADC samples, read-only."""
+    root = dsp.circulant_root(dsp.receive_noise_covariance(_lowpass(lpf, fs), step, k + 1))
+    root.flags.writeable = False
+    return root
 
 
 @functools.lru_cache(maxsize=1)
-def _lowpass_and_noise(seed, n, lpf, step, fc, fs):
-    """The lowpass sections at fs and the receiver noise, both read-only.
+def _receiver_noise(seed, n, lpf, step, fs):
+    """Unit channel noise of an n-sample frame after the receive front end, read-only.
 
-    The receiver noise is unit-variance channel noise, n samples from the
-    second child of SeedSequence(seed), run through dsp.downconvert with those
-    sections. It is drawn _NOISE_BLOCK samples at a time, and each block goes
-    through the kernel before the next is drawn: consecutive draws continue
-    one stream, so this equals the kernel on one draw of n samples bit for bit,
-    and no noise frame is built. Every point of a sweep runs at the sweep's
-    seed, so one entry serves the whole sweep; it holds n / step complex
-    samples. run_link fills it on a helper thread (_noise_drawn).
+    It is drawn at the ADC rate by circulant embedding, fft(root * z) with z
+    from the second child of SeedSequence(seed); it is proper, so the carrier
+    does not enter. One entry serves a sweep: every point runs at its seed.
     """
-    global _noise_args
-    sos = _lowpass(lpf, fs)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-    blocks = (rng.standard_normal(min(_NOISE_BLOCK, n - i)) for i in range(0, n, _NOISE_BLOCK))
-    noise = _receive_kernel(blocks, sos, step, fc, fs)
+    k = n // step
+    z = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]).standard_normal(4 * k)
+    noise = np.fft.fft(_noise_root(lpf, step, fs, k) * z.view(np.complex128))[:k].copy()
     noise.flags.writeable = False
-    _noise_args = (seed, n, lpf, step, fc, fs)
-    return sos, noise
-
-
-@contextmanager
-def _noise_drawn(args):
-    """Fill _lowpass_and_noise(*args) on a helper thread while the block runs.
-
-    On a cache hit no thread starts. The helper is joined when the block
-    exits, whether or not the block raised; if the block succeeded, a failed
-    draw then raises StageError for the source stage.
-    """
-    if args == _noise_args and _lowpass_and_noise.cache_info().currsize:
-        yield
-        return
-    errors = []
-
-    def draw():
-        try:
-            _lowpass_and_noise(*args)
-        except Exception as exc:
-            errors.append(exc)
-
-    helper = threading.Thread(target=draw, name="receiver-noise")
-    helper.start()
-    try:
-        yield
-    finally:
-        helper.join()
-    if errors:
-        raise StageError("source", str(errors[0])) from errors[0]
+    return noise
 
 
 # The clipped drive's PSD for the last (SystemConfig, ibo), read-only. The
@@ -233,16 +189,12 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     """Run the full chain once and return LinkMetrics.
 
     The configured seed feeds a SeedSequence whose two children drive the
-    symbol source and the channel noise; the noise child feeds the cached
-    receiver noise (_lowpass_and_noise). On a miss of that cache one helper
-    thread draws the noise while the transmit chain runs (tx-shaping to
-    channel), and is joined before the rx stage, also when the chain raises;
-    on a hit no thread starts. b_pa is read from the bandpass's
-    |H|^2 times the clipped drive's Welch PSD, S_y = |H|^2 S_v, which is
-    taken once per (SystemConfig, ibo) in the pa stage and cached
-    (_clipped_drive_psd). Identical configurations reproduce bit-identical
-    metrics. Each frame-length intermediate is rebound or deleted once its
-    successor exists, so it is freed after its last use.
+    symbol source and the channel noise, which the source stage draws at the
+    ADC rate (_receiver_noise, cached). b_pa is read from the bandpass's |H|^2
+    times the clipped drive's Welch PSD, S_y = |H|^2 S_v, taken once per
+    (SystemConfig, ibo) in the pa stage and cached (_clipped_drive_psd).
+    Identical configurations reproduce bit-identical metrics. Each frame-length
+    intermediate is freed after its last use.
     """
     fs = sys_cfg.fs()
     n_frame = sys_cfg.n_symbols * sys_cfg.analog_sps
@@ -251,53 +203,51 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     with _stage("source"):
         tx = draw_symbols(sys_cfg.n_symbols, sym_rng)
-        # The lowpass both ends use. The channel noise, already through the
-        # receive front end, is drawn meanwhile: no stage before rx reads it.
+        # The lowpass both ends use, and the channel noise after the receive front
+        # end, drawn before any frame-length buffer exists to keep the peak low.
         lpf_sos = _lowpass(sys_cfg.lpf, fs)
-        noise_args = (sys_cfg.seed, n_frame, sys_cfg.lpf, step, sys_cfg.fc(), fs)
+        noise = _receiver_noise(sys_cfg.seed, n_frame, sys_cfg.lpf, step, fs)
 
-    with _noise_drawn(noise_args):
-        with _stage("tx-shaping"):
-            # One RRC design serves the transmit shaper and the receive matched filter.
-            taps = dsp.design_rrc(sys_cfg.rrc)
-            if sys_cfg.shaped:
-                dac_in = dsp.fir_filter(dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps)
-            else:
-                dac_in = tx
+    with _stage("tx-shaping"):
+        # One RRC design serves the transmit shaper and the receive matched filter.
+        taps = dsp.design_rrc(sys_cfg.rrc)
+        if sys_cfg.shaped:
+            dac_in = dsp.fir_filter(dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps)
+        else:
+            dac_in = tx
 
-        with _stage("dac"):
-            if sys_cfg.one_bit:
-                dac_in = quantizers.one_bit_quantize(dac_in)
-            # The shaper's output sets the DAC rate; the hold fills the analog frame.
-            wave = dsp.upconvert(dac_in, lpf_sos, n_frame // len(dac_in), sys_cfg.fc(), fs)
+    with _stage("dac"):
+        if sys_cfg.one_bit:
+            dac_in = quantizers.one_bit_quantize(dac_in)
+        # The shaper's output sets the DAC rate; the hold fills the analog frame.
+        wave = dsp.upconvert(dac_in, lpf_sos, n_frame // len(dac_in), sys_cfg.fc(), fs)
 
-        with _stage("pa"):
-            # x_p at unit RMS (so v_sat is ibo), divided by s. Below s ~ 1e-308 peaks
-            # overflow to inf, which the clip takes to ibo / s like the rest.
-            s, f_pa, f_t = pa_cfg.power_factors()
-            with np.errstate(over="ignore"):
-                wave /= np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])) * s
-            bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
-            # Clipped and filtered in place: y is the drive's own buffer, so the
-            # drive's PSD is taken between the two.
-            v = pa_mod.clip(wave, pa_cfg.ibo / s)
-            drive_psd = _clipped_drive_psd(v, sys_cfg, pa_cfg.ibo)
-            y = pa_mod.bandpass_reconstruct(v, bpf_sos)
-            mean_square = pa_mod.transmit_power(y, sys_cfg.window)
-            p_pa = f_pa * pa_mod.pa_power(y, sys_cfg.window)
-            p_t = f_t * mean_square
+    with _stage("pa"):
+        # x_p at unit RMS (so v_sat is ibo), divided by s. Below s ~ 1e-308 peaks
+        # overflow to inf, which the clip takes to ibo / s like the rest.
+        s, f_pa, f_t = pa_cfg.power_factors()
+        with np.errstate(over="ignore"):
+            wave /= np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])) * s
+        bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
+        # Clipped and filtered in place: y is the drive's own buffer, so the
+        # drive's PSD is taken between the two.
+        v = pa_mod.clip(wave, pa_cfg.ibo / s)
+        drive_psd = _clipped_drive_psd(v, sys_cfg, pa_cfg.ibo)
+        y = pa_mod.bandpass_reconstruct(v, bpf_sos)
+        mean_square = pa_mod.transmit_power(y, sys_cfg.window)
+        p_pa = f_pa * pa_mod.pa_power(y, sys_cfg.window)
+        p_t = f_t * mean_square
 
-        with _stage("channel"):
-            # The noise that realizes the SINR is noise_ratio times the received
-            # power alpha * p_t, whatever alpha and r_load: on y, times mean(y^2).
-            noise_ratio = ch_cfg.noise_ratio()
-            scale = channel_mod.noise_scale(noise_ratio * mean_square, sys_cfg.b, fs)
+    with _stage("channel"):
+        # The noise that realizes the SINR is noise_ratio times the received
+        # power alpha * p_t, whatever alpha and r_load: on y, times mean(y^2).
+        noise_ratio = ch_cfg.noise_ratio()
+        scale = channel_mod.noise_scale(noise_ratio * mean_square, sys_cfg.b, fs)
 
     with _stage("rx"):
         # Mixer and lowpass in one block-rate kernel: no frame-length baseband.
         # The kernel is linear, so the noise joins at its output and the
         # received frame y + noise is never built.
-        _, noise = _lowpass_and_noise(*noise_args)
         rx = dsp.downconvert(y, lpf_sos, step, sys_cfg.fc(), fs) + scale * noise
         if sys_cfg.one_bit:
             rx = quantizers.one_bit_quantize(rx)

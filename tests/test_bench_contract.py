@@ -46,10 +46,12 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
     # per variant, except three that stay callable and traced: zoh_hold and
     # iir_filter, kept only for perfbench (the pa bandpass calls sosfilt block
     # by block itself); and add_awgn, since run_link adds the noise that
-    # _lowpass_and_noise caches after the receive front end. The caches are
-    # cleared first, so the lowpass design, the noise draw and the clipped
-    # drive's welch_psd (in the pa stage on a miss) run whatever ran before.
-    pipeline._lowpass_and_noise.cache_clear()
+    # _receiver_noise draws at the ADC rate after the receive front end. The
+    # caches are cleared first, so the lowpass design, the noise draw and the
+    # clipped drive's welch_psd (in the pa stage on a miss) run whatever ran
+    # before.
+    pipeline._receiver_noise.cache_clear()
+    pipeline._noise_root.cache_clear()
     pipeline._lowpass.cache_clear()
     pipeline._drive_psd.clear()
     calls = {}
@@ -74,11 +76,12 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
 
 
 def test_traced_functions_run_on_the_calling_thread(monkeypatch):
-    # perfbench keeps one span stack per process, so a traced function that
-    # run_link's noise helper thread called would nest under whatever span the
-    # main thread had open. On a cold run every traced call is on the caller's
-    # thread.
-    pipeline._lowpass_and_noise.cache_clear()
+    # perfbench keeps one span stack per process, so a traced function called
+    # on another thread would nest under whatever span the calling thread had
+    # open. run_link starts no thread: on a cold run too every traced call is
+    # on the caller's thread.
+    pipeline._receiver_noise.cache_clear()
+    pipeline._noise_root.cache_clear()
     pipeline._lowpass.cache_clear()
     pipeline._drive_psd.clear()
     threads = set()

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -287,50 +284,6 @@ class TestBlockRateLowpass:
         peak = self._traced_peak(downconvert, x, sos, 32, self.FC, self.FS)
         frame = 8 * self.PAPER_FRAME
         assert peak <= 0.6 * frame, f"peak {peak / frame:.2f} real frames"
-
-
-
-# Prints the piece sizes at which downconvert over consecutive pieces of a
-# frame differs from downconvert of the frame as one array in any bit. The
-# frame is 2400 blocks of 32, not whole 204-row product tiles, and the pieces
-# are one block, 7 blocks, 203 and 205 blocks, 2048 blocks (more than the
-# frame), and 1000 and 4097 samples (not whole blocks).
-_PIECES_THAT_DIFFER = """
-import numpy as np
-from onebitlink import dsp
-sos = dsp.design_butterworth(dsp.ButterworthSpec(), 128.0)
-x = np.random.default_rng(11).standard_normal(2400 * 32)
-whole = dsp.downconvert(x, sos, 32, 30.0, 128.0)
-differ = []
-for size in (32, 7 * 32, 203 * 32, 205 * 32, 2048 * 32, 1000, 4097):
-    pieces = iter([x[i:i + size] for i in range(0, len(x), size)])
-    if dsp.downconvert(pieces, sos, 32, 30.0, 128.0).tobytes() != whole.tobytes():
-        differ.append(size)
-print(differ)
-"""
-
-
-# A BLAS kernel may round a row of a product by its place in the product, so
-# the pieces are regrouped into whole product tiles before the product. Each
-# OpenBLAS kernel rounds its own way (see tests/test_golden.py), so the check
-# runs in a new process under the default kernel and under a forced one.
-@pytest.mark.parametrize("coretype", [None, "Sandybridge"], ids=["default", "Sandybridge"])
-def test_streamed_frame_equals_the_array_call_bit_for_bit(coretype):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    if coretype:
-        env["OPENBLAS_CORETYPE"] = coretype
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _PIECES_THAT_DIFFER], env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
-
-
-def test_streamed_frame_must_be_whole_blocks():
-    sos = design_butterworth(ButterworthSpec(), fs=128.0)
-    x = np.random.default_rng(12).standard_normal(100 * 32 + 5)
-    with pytest.raises(ValueError, match="frame of 3205 samples is not whole blocks of 32"):
-        downconvert(iter([x[:1000], x[1000:]]), sos, 32, 30.0, 128.0)
 
 
 def _align_loop(tx, rx_soft, trim, stride):

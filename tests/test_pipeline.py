@@ -2,8 +2,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -246,22 +244,21 @@ class TestRunLink:
     def test_peak_memory_stays_below_one_frame(self):
         # Each frame-length buffer is freed after its last stage, and the pa
         # stage clips and filters the drive in place, so y_p is the one real
-        # frame a run holds. At the paper frame the peak, about 0.82 complex
-        # frames, is in the dac or pa stage while the helper thread draws the
-        # receiver noise one piece at a time, or in the rx stage, where y_p
-        # meets the receive kernel's block-rate products; on a drive-PSD miss
-        # the pa stage also holds the clipped drive next to one block of PSD
+        # frame a run holds. At the paper frame the peak, about 0.8 complex
+        # frames, is in the rx stage, where y_p meets the receive kernel's
+        # block-rate products, or in the dac stage; on a drive-PSD miss the pa
+        # stage also holds the clipped drive next to one block of PSD
         # transforms. A bandpass output next to the drive, a frame-length
-        # square of the drive for its RMS, or a noise frame drawn whole next
-        # to the drive takes it past 0.9.
+        # square of the drive for its RMS, or a noise frame drawn at the
+        # analog rate next to the drive takes it past 0.9.
         # At 2000 symbols fixed-size buffers weigh more, hence the looser bound.
         # The caches are cleared first, so the noise draw and the drive's PSD
-        # are counted. The helper's pieces overlap the main thread's stages as
-        # the threads are scheduled, so each paper-frame variant runs 5 times.
+        # are counted; each paper-frame variant runs 5 times.
         cases = [("sys2", 2000, 4.5)] + [(v, 10000, 0.9) for v in VARIANTS for _ in range(5)]
         for variant, n_symbols, bound in cases:
             sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=n_symbols)
-            pipeline._lowpass_and_noise.cache_clear()
+            pipeline._receiver_noise.cache_clear()
+            pipeline._noise_root.cache_clear()
             pipeline._lowpass.cache_clear()
             pipeline._drive_psd.clear()
             tracemalloc.start()
@@ -293,21 +290,27 @@ class TestRunLink:
             sys_cfg = SystemConfig(**kwargs)
             pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
             warm = run_link(sys_cfg, pa_cfg, ch_cfg)
-            pipeline._lowpass_and_noise.cache_clear()
+            pipeline._receiver_noise.cache_clear()
+            pipeline._noise_root.cache_clear()
             cold = run_link(sys_cfg, pa_cfg, ch_cfg)
             assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
 
     def test_receiver_noise_cache_holds_one_entry(self):
-        for seed in (1, 2, 3, 1):
-            sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=500, seed=seed)
-            run_link(sys_cfg, pa_cfg, ch_cfg)
-            assert pipeline._lowpass_and_noise.cache_info().currsize == 1
+        # The noise by seed and frame, and the circulant root by frame alone.
+        for seed, n_symbols in ((1, 500), (2, 500), (3, 600), (1, 500)):
+            run_link(*_configs(n_symbols=n_symbols, seed=seed))
+            assert pipeline._receiver_noise.cache_info().currsize == 1
+            assert pipeline._noise_root.cache_info().currsize == 1
+        sys_cfg = _configs(n_symbols=500)[0]
         step = sys_cfg.analog_sps // sys_cfg.adc_sps
-        sos, noise = pipeline._lowpass_and_noise(
-            sys_cfg.seed, sys_cfg.n_symbols * sys_cfg.analog_sps, sys_cfg.lpf, step,
-            sys_cfg.fc(), sys_cfg.fs())
-        assert pipeline._lowpass_and_noise.cache_info().currsize == 1
-        for cached in (sos, noise):
+        k = sys_cfg.n_symbols * sys_cfg.adc_sps
+        hits = pipeline._receiver_noise.cache_info().hits, pipeline._noise_root.cache_info().hits
+        noise = pipeline._receiver_noise(sys_cfg.seed, k * step, sys_cfg.lpf, step, sys_cfg.fs())
+        root = pipeline._noise_root(sys_cfg.lpf, step, sys_cfg.fs(), k)
+        assert (pipeline._receiver_noise.cache_info().hits,
+                pipeline._noise_root.cache_info().hits) == (hits[0] + 1, hits[1] + 1)
+        assert noise.shape == (k,) and root.shape == (2 * k,)
+        for cached in (noise, root):
             with pytest.raises(ValueError):
                 cached[0] = 0
 
@@ -320,7 +323,8 @@ class TestRunLink:
             return _fn(spec, fs)
 
         monkeypatch.setattr(dsp, "design_butterworth", counted)
-        pipeline._lowpass_and_noise.cache_clear()
+        pipeline._receiver_noise.cache_clear()
+        pipeline._noise_root.cache_clear()
         pipeline._lowpass.cache_clear()
         for expected in (["lowpass", "bandpass"], ["bandpass"]):
             designed.clear()
@@ -416,92 +420,95 @@ class TestRunLink:
         assert "pa" in str(err.value)
 
 
-class TestNoiseHelper:
-    """On a receiver-noise cache miss run_link draws the noise on one helper
-    thread while the transmit chain runs, and joins it before the rx stage."""
+class TestReceiverNoise:
+    """The receiver noise is drawn at the ADC rate by circulant embedding of
+    dsp.receive_noise_covariance, r[m] = rho(m step)."""
 
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The threads started while the test runs, in order."""
-        threads = []
+    # Bound in standard errors, set before the first run. For a proper complex
+    # Gaussian frame of N samples with real autocovariance r, the real part of
+    # the sample autocovariance c(m) = mean_k w[k + m] conj(w[k]) has variance
+    # sum_j (r[j]^2 + r[j + m] r[j - m]) / 2N (Isserlis; Bartlett's formula
+    # with half the weight, since each rail carries r / 2), its imaginary part
+    # and the rails' cross-covariance mean_k Re w[k + m] Im w[k] variance
+    # sum_j r[j]^2 / 4N. The cross-covariance is checked on the draw only:
+    # the kernel's output also carries the mixer's pseudo-covariance, which
+    # the draw leaves out (at 64 samples per symbol the 2 fc image folds to
+    # 4 B, inside an order-1 lowpass's skirt). So there are 180 checks (4
+    # rates and orders x 9 lags x 3 statistics of the draw, 2 of the kernel);
+    # at 4.5 standard errors a Gaussian estimate falls outside with
+    # probability 6.8e-6, so the test raises a false alarm with probability
+    # below 1.3e-3.
+    K_SE = 4.5
+    LAGS = 9
 
-        class Recorded(threading.Thread):
-            def start(self):
-                threads.append(self)
-                super().start()
+    @staticmethod
+    def _frame(analog_sps, order):
+        sys_cfg = SystemConfig(analog_sps=analog_sps, lpf=ButterworthSpec(order=order))
+        step = sys_cfg.analog_sps // sys_cfg.adc_sps
+        return sys_cfg, step, sys_cfg.n_symbols * sys_cfg.analog_sps
 
-        monkeypatch.setattr(threading, "Thread", Recorded)
-        return threads
+    def _assert_autocovariance(self, w, r, source, proper):
+        n = len(w)
+        two_sided = np.concatenate([r[:0:-1], r])  # lags -(len(r) - 1) .. len(r) - 1
+        energy = np.sum(two_sided ** 2)
+        for m in range(self.LAGS):
+            c = np.vdot(w[:n - m], w[m:]) / (n - m)
+            cross = np.mean(w[m:].real * w[:n - m].imag)
+            shifted = np.sum(two_sided[2 * m:] * two_sided[:len(two_sided) - 2 * m])
+            se_re = np.sqrt((energy + shifted) / (2 * n))
+            se_im = np.sqrt(energy / (4 * n))
+            checks = [("Re c", c.real, r[m], se_re), ("Im c", c.imag, 0.0, se_im)]
+            for name, value, expected, se in checks + [("cross", cross, 0.0, se_im)] * proper:
+                assert abs(value - expected) <= self.K_SE * se, (
+                    f"{source}, lag {m}: {name} {value:.5g} against {expected:.5g} "
+                    f"({(value - expected) / se:+.1f} se)")
 
-    def test_a_miss_starts_one_helper_and_a_hit_none(self, started):
-        point = _configs(n_symbols=500)
-        pipeline._lowpass_and_noise.cache_clear()
-        run_link(*point)
-        assert len(started) == 1
-        run_link(*point)
-        assert len(started) == 1
+    @pytest.mark.parametrize("analog_sps,order", [(128, 4), (128, 1), (64, 4), (64, 1)])
+    def test_draw_and_kernel_have_the_modelled_autocovariance(self, analog_sps, order):
+        sys_cfg, step, n = self._frame(analog_sps, order)
+        sos = pipeline._lowpass(sys_cfg.lpf, sys_cfg.fs())
+        r = dsp.receive_noise_covariance(sos, step, 64)
+        assert np.max(np.abs(r[-8:])) <= 1e-9 * r[0]  # the sums above cover every lag
+        drawn = pipeline._receiver_noise(2, n, sys_cfg.lpf, step, sys_cfg.fs())
+        self._assert_autocovariance(drawn, r, "circulant draw", proper=True)
+        # The full-rate reference: white noise mixed and filtered by the
+        # receive kernel, less its start-up transient. It checks rho itself.
+        white = np.random.default_rng(3).standard_normal(n)
+        kernel = dsp.downconvert(white, sos, step, sys_cfg.fc(), sys_cfg.fs())[64:]
+        self._assert_autocovariance(kernel, r, "downconvert", proper=False)
 
-    def test_no_thread_outlives_run_link(self, started):
-        before = set(threading.enumerate())
-        pipeline._lowpass_and_noise.cache_clear()
-        run_link(*_configs(n_symbols=500))
-        assert len(started) == 1 and not started[0].is_alive()
-        assert set(threading.enumerate()) == before
+    def test_embedding_is_nonnegative_at_every_order_and_rate(self):
+        # The shortest accepted frame: the window must hold the PSD segment
+        # and exceed 2 rrc spans. Its circulant is the smallest, so the
+        # farthest from the positive spectrum it samples.
+        span = RrcSpec().span
+        shortest = 2 * span + max(metrics.PSD_SEGMENT_SYMBOLS, 2 * span + 1)
+        SystemConfig(n_symbols=shortest)
+        with pytest.raises(ConfigurationError, match="measurement window"):
+            SystemConfig(n_symbols=shortest - 1)
+        adc_sps = RrcSpec().samples_per_symbol
+        k = shortest * adc_sps
+        for order in range(1, dsp.MAX_BUTTERWORTH_ORDER + 1):
+            for analog_sps in (16, 32, 64, 128, 256, 512):
+                sos = dsp.design_butterworth(ButterworthSpec(order=order), float(analog_sps))
+                r = dsp.receive_noise_covariance(sos, analog_sps // adc_sps, k + 1)
+                lam = np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real
+                assert lam.min() > 0.0, (order, analog_sps, lam.min() / lam.max())
 
-    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
-    def test_cold_runs_under_a_short_switch_interval_match_warm_ones(self):
-        # The helper and the main thread share the noise cache. A thread
-        # switch every 10 us interleaves them at nearly every bytecode; a cold
-        # run must still read the noise the helper drew, as a warm run does.
-        points = [_configs(variant=v, n_symbols=500, seed=seed)
-                  for v, seed in (("sys1", 1), ("sys2", 2), ("sys3", 3), ("sys2", 2))]
-        warm = []
-        for point in points:
-            run_link(*point)
-            warm.append(dataclasses.asdict(run_link(*point)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            cold = []
-            for point in points:
-                pipeline._lowpass_and_noise.cache_clear()
-                cold.append(dataclasses.asdict(run_link(*point)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert cold == warm
+    def test_a_covariance_that_does_not_embed_is_a_source_stage_error(self, monkeypatch):
+        # r[1] = 0.9 r[0] is no autocovariance: its spectrum 1 + 1.8 cos w dips below 0.
+        def not_embeddable(sos, step, n_lags):
+            r = np.zeros(n_lags)
+            r[:2] = 1.0, 0.9
+            return r
 
-    def test_a_failed_draw_is_a_source_stage_error(self, started, monkeypatch):
-        def broken(*args):
-            raise RuntimeError("no noise drawn")
-
-        monkeypatch.setattr(pipeline, "_receive_kernel", broken)
-        point = _configs(n_symbols=500)
-        pipeline._lowpass_and_noise.cache_clear()
-        with pytest.raises(StageError) as err:
-            run_link(*point)
-        assert err.value.stage == "source" and "no noise drawn" in str(err.value)
-        assert not started[0].is_alive()
-        # Nothing was cached, so the next run draws again.
-        monkeypatch.setattr(pipeline, "_receive_kernel", dsp.downconvert)
-        run_link(*point)
-        assert len(started) == 2
-
-    def test_a_failing_chain_still_joins_the_helper(self, started, monkeypatch):
-        # The helper is held back, so it is still drawing when the pa stage raises.
-        def slow(*args, _fn=pipeline._receive_kernel):
-            time.sleep(0.2)
-            return _fn(*args)
-
-        def broken_clip(*args):
-            raise RuntimeError("clip failed")
-
-        monkeypatch.setattr(pipeline, "_receive_kernel", slow)
-        monkeypatch.setattr(pa, "clip", broken_clip)
-        pipeline._lowpass_and_noise.cache_clear()
-        with pytest.raises(StageError) as err:
+        monkeypatch.setattr(dsp, "receive_noise_covariance", not_embeddable)
+        pipeline._receiver_noise.cache_clear()
+        pipeline._noise_root.cache_clear()
+        with pytest.raises(StageError, match="does not embed") as err:
             run_link(*_configs(n_symbols=500))
-        assert err.value.stage == "pa"
-        assert len(started) == 1 and not started[0].is_alive()
+        assert err.value.stage == "source"
+        assert pipeline._noise_root.cache_info().currsize == 0
 
 
 def _point_with_output(variant, bbpf, monkeypatch):
