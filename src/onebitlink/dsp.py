@@ -9,6 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal as sig
 
 from .errors import ConfigurationError
@@ -51,8 +52,8 @@ class ButterworthSpec:
 
     order is the analog prototype order N (scipy convention), at most
     MAX_BUTTERWORTH_ORDER: a lowpass design has N poles, a bandpass design 2N
-    poles. cutoff_low/cutoff_high are the 3-dB edges in Hz; lowpass designs
-    use cutoff_high only.
+    poles. cutoff_low/cutoff_high are the 3-dB edges in multiples of the baud
+    rate B; lowpass designs use cutoff_high only.
     """
 
     order: int = 4
@@ -148,18 +149,13 @@ def zoh_hold(x, M):
 _BLAS_BLOCK = 2 ** 16
 
 
-def _tiles(k, n):
-    """(mt, kt, nt): _matmul's row, inner and column tiles for a (m x k) by (k x n) product."""
-    kt = min(k, _BLAS_BLOCK)
-    nt = min(n, max(1, _BLAS_BLOCK // kt))
-    return max(1, _BLAS_BLOCK // (kt * nt)), kt, nt
-
-
 def _matmul(a, b):
     """a @ b for real a and b, in blocks of at most _BLAS_BLOCK multiply-adds."""
     (m, k), n = a.shape, b.shape[1]
     out = np.empty((m, n))
-    mt, kt, nt = _tiles(k, n)
+    kt = min(k, _BLAS_BLOCK)
+    nt = min(n, max(1, _BLAS_BLOCK // kt))
+    mt = max(1, _BLAS_BLOCK // (kt * nt))
     for p in range(0, k, kt):
         for j in range(0, n, nt):
             for i in range(0, m, mt):
@@ -269,37 +265,42 @@ def downconvert(x_p, sos, step, fc, fs):
     return sig.sosfilt(d, w)
 
 
-def receive_noise_covariance(sos, step, n_lags):
-    """r[m] = rho(m step) for m < n_lags: the autocovariance of downconvert's output for white input.
+def power_response(values, sos, freqs, fs):
+    """values times |H(e^{j 2 pi f / fs})|^2, H the filter `sos`, at the frequencies freqs.
 
-    Unit white noise through the mixer 2 exp(-j 2 pi fc k / fs) and the lowpass
-    h has E[w[k] conj(w[k + l])] = rho(l) = 4 sum_i h[i] h[i + l] at any carrier
-    (its pseudo-covariance is left out). With H = F(z) / D(z^step) the kept
-    outputs are a block-rate moving average, of autocovariance
-    4 sum_k f[k] f[k + q step] for |q| < L, through 1 / D: so r is that run
-    through 1 / D forward, then backward, over 2 (n_lags + L) lags.
+    |H|^2 is the product over the second-order sections of |b(u)|^2 / |a(u)|^2,
+    u = e^{-j 2 pi f / fs}, applied to a copy of values one section at a time,
+    elementwise (the bits depend on no BLAS kernel).
+    """
+    u = np.exp(-2j * np.pi * freqs / fs)
+    values = values.copy()
+    for b0, b1, b2, a0, a1, a2 in sos:
+        values *= np.abs((b2 * u + b1) * u + b0) ** 2 / np.abs((a2 * u + a1) * u + a0) ** 2
+    return values
+
+
+def receive_noise_root(sos, step, k):
+    """sqrt(S / 4k) on the 2k frequencies m / 2k: the root of k ADC samples of receiver noise.
+
+    Unit white noise through the mixer 2 exp(-j 2 pi fc n / fs), the lowpass
+    H = `sos` and every step-th sample is proper at any carrier (its
+    pseudo-covariance is left out), of spectrum S(nu) = 4 sum_i |H|^2 / step
+    at the step images (nu + i) / step. With H = F(z) / D(z^step) the kept
+    samples are a block-rate moving average, of autocovariance
+    4 sum_n f[n] f[n + q step] for |q| < L, through 1 / D: S is that
+    autocovariance's spectrum over |D|^2. fft(root * z)[:k], z of 2k complex
+    normals (E|z|^2 = 2), is then a proper complex Gaussian frame with S's
+    autocovariance aliased at 2k lags (circulant embedding: Davies & Harte,
+    Biometrika 1987). Rounding below 0 is taken as 0.
     """
     f, d = _look_ahead(sos, step)
     n_ma = len(f) // step  # L
     ma = [4.0 * float(np.dot(f[q * step:], f[:len(f) - q * step])) for q in range(n_ma)]
-    lags = np.concatenate([ma[:0:-1], ma, np.zeros(2 * n_lags + 1)])  # from lag 1 - L
-    r = sig.sosfilt(d, sig.sosfilt(d, lags)[::-1])[::-1]
-    return r[n_ma - 1:n_ma - 1 + n_lags]
-
-
-def circulant_root(r):
-    """sqrt(lambda / 4K), lambda the eigenvalues of the 2K circulant that embeds r[0..K].
-
-    fft(root * z)[:K], z of 2K complex normals (E|z|^2 = 2), is then a proper
-    complex Gaussian frame of autocovariance r (Davies & Harte, Biometrika
-    1987; Dietrich & Newsam, SIAM J. Sci. Comput. 1997). Eigenvalues that
-    rounding leaves below 0 are taken as 0; one below -1e-9 max lambda means
-    r does not embed, and raises ValueError.
-    """
-    lam = np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real
-    if lam.min() < -1e-9 * lam.max():
-        raise ValueError(f"covariance does not embed in a circulant: eigenvalue {lam.min():.3g}")
-    return np.sqrt(np.maximum(lam, 0.0) / (2 * len(lam)))
+    lags = np.zeros(2 * k)  # lags 0 .. 2k - 1, the negative ones wrapped to the end
+    lags[:n_ma] = ma
+    lags[2 * k - n_ma + 1:] = ma[:0:-1]
+    s = power_response(sp_fft.rfft(lags).real, d, np.arange(k + 1), 2 * k)
+    return np.sqrt(np.maximum(np.concatenate([s, s[-2:0:-1]]), 0.0) / (4 * k))
 
 
 def align(tx, rx_soft, trim, stride):

@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy import signal as sig
 
+from . import dsp
 from .pa import HARMONIC_BOUND
 
 # Welch segment length in symbol periods, so the bin width is B/32 at any rate.
@@ -155,15 +156,8 @@ def welch_psd(x, fs):
 
 
 def filtered_psd(psd, sos, fs):
-    """The PSD after the filter `sos` at fs: S_y = |H(e^{j 2 pi f / fs})|^2 S_x on psd's grid.
-
-    |H|^2 is the product over the second-order sections of |b(u)|^2 / |a(u)|^2,
-    u = e^{-j 2 pi f / fs}, evaluated elementwise (the bits depend on no BLAS kernel).
-    """
-    u = np.exp(-2j * np.pi * psd.freqs / fs)
-    values = psd.values.copy()
-    for b0, b1, b2, a0, a1, a2 in sos:
-        values *= np.abs((b2 * u + b1) * u + b0) ** 2 / np.abs((a2 * u + a1) * u + a0) ** 2
+    """The PSD after the filter `sos` at fs: S_y = |H(e^{j 2 pi f / fs})|^2 S_x on psd's grid."""
+    values = dsp.power_response(psd.values, sos, psd.freqs, fs)
     total = float(np.sum(values) * (psd.freqs[1] - psd.freqs[0]))
     return PsdEstimate(freqs=psd.freqs, values=values, total_power=total)
 

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from . import channel as channel_mod
 from . import dsp
@@ -147,8 +148,8 @@ def _lowpass(lpf, fs):
 
 @functools.lru_cache(maxsize=1)
 def _noise_root(lpf, step, fs, k):
-    """dsp.circulant_root of the receiver noise's autocovariance over k ADC samples, read-only."""
-    root = dsp.circulant_root(dsp.receive_noise_covariance(_lowpass(lpf, fs), step, k + 1))
+    """dsp.receive_noise_root of the lowpass at fs over k ADC samples, read-only."""
+    root = dsp.receive_noise_root(_lowpass(lpf, fs), step, k)
     root.flags.writeable = False
     return root
 
@@ -163,7 +164,7 @@ def _receiver_noise(seed, n, lpf, step, fs):
     """
     k = n // step
     z = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]).standard_normal(4 * k)
-    noise = np.fft.fft(_noise_root(lpf, step, fs, k) * z.view(np.complex128))[:k].copy()
+    noise = sp_fft.fft(_noise_root(lpf, step, fs, k) * z.view(np.complex128))[:k].copy()
     noise.flags.writeable = False
     return noise
 

@@ -3,12 +3,26 @@ import os
 import pytest
 from hypothesis import settings
 
-from onebitlink import optimizer
+from onebitlink import optimizer, pipeline
 
 # Property tests replay the same examples on every run and keep tier-1 fast.
 settings.register_profile("tier1", derandomize=True, max_examples=200, deadline=None,
                           database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def clear_run_caches():
+    """clear_run_caches() empties every cache that run_link keeps between runs:
+    the lowpass, the noise root, the receiver noise and the clipped drive's PSD."""
+
+    def clear():
+        pipeline._lowpass.cache_clear()
+        pipeline._noise_root.cache_clear()
+        pipeline._receiver_noise.cache_clear()
+        pipeline._drive_psd.clear()
+
+    return clear
 
 
 @pytest.fixture

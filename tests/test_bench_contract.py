@@ -41,7 +41,7 @@ def test_traced_functions_resolve():
         assert callable(fn), f"onebitlink.{module}.{attr}"
 
 
-def test_traced_stages_are_the_ones_that_run(monkeypatch):
+def test_traced_stages_are_the_ones_that_run(monkeypatch, clear_run_caches):
     # Every traced name below the dispatchers gets a call in one short run_link
     # per variant, except three that stay callable and traced: zoh_hold and
     # iir_filter, kept only for perfbench (the pa bandpass calls sosfilt block
@@ -50,10 +50,7 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
     # caches are cleared first, so the lowpass design, the noise draw and the
     # clipped drive's welch_psd (in the pa stage on a miss) run whatever ran
     # before.
-    pipeline._receiver_noise.cache_clear()
-    pipeline._noise_root.cache_clear()
-    pipeline._lowpass.cache_clear()
-    pipeline._drive_psd.clear()
+    clear_run_caches()
     calls = {}
     for module, attr in _constant("TRACED"):
         if (module, attr) in (("cli", "main"), ("optimizer", "grid_search")):
@@ -75,15 +72,12 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch):
         "channel.add_awgn", "dsp.iir_filter", "dsp.zoh_hold"]
 
 
-def test_traced_functions_run_on_the_calling_thread(monkeypatch):
+def test_traced_functions_run_on_the_calling_thread(monkeypatch, clear_run_caches):
     # perfbench keeps one span stack per process, so a traced function called
     # on another thread would nest under whatever span the calling thread had
     # open. run_link starts no thread: on a cold run too every traced call is
     # on the caller's thread.
-    pipeline._receiver_noise.cache_clear()
-    pipeline._noise_root.cache_clear()
-    pipeline._lowpass.cache_clear()
-    pipeline._drive_psd.clear()
+    clear_run_caches()
     threads = set()
     for module, attr in _constant("TRACED"):
         owner = importlib.import_module(f"onebitlink.{module}")

@@ -241,7 +241,7 @@ class TestRunLink:
                          ChannelConfig())
             assert m.p_t > 0 and np.isfinite(m.fom_normalized)
 
-    def test_peak_memory_stays_below_one_frame(self):
+    def test_peak_memory_stays_below_one_frame(self, clear_run_caches):
         # Each frame-length buffer is freed after its last stage, and the pa
         # stage clips and filters the drive in place, so y_p is the one real
         # frame a run holds. At the paper frame the peak, about 0.8 complex
@@ -257,10 +257,7 @@ class TestRunLink:
         cases = [("sys2", 2000, 4.5)] + [(v, 10000, 0.9) for v in VARIANTS for _ in range(5)]
         for variant, n_symbols, bound in cases:
             sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=n_symbols)
-            pipeline._receiver_noise.cache_clear()
-            pipeline._noise_root.cache_clear()
-            pipeline._lowpass.cache_clear()
-            pipeline._drive_psd.clear()
+            clear_run_caches()
             tracemalloc.start()
             try:
                 run_link(sys_cfg, pa_cfg, ch_cfg)
@@ -272,7 +269,7 @@ class TestRunLink:
                 f"{variant} at {n_symbols} symbols: peak {peak / complex_frame:.2f} complex frames")
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
-    def test_cached_receiver_noise_follows_every_input(self):
+    def test_cached_receiver_noise_follows_every_input(self, clear_run_caches):
         # Each config changes one input of the receiver noise from its
         # predecessor, so a cache key that misses one returns the previous
         # config's noise and the warm run differs from the cold one.
@@ -290,8 +287,7 @@ class TestRunLink:
             sys_cfg = SystemConfig(**kwargs)
             pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
             warm = run_link(sys_cfg, pa_cfg, ch_cfg)
-            pipeline._receiver_noise.cache_clear()
-            pipeline._noise_root.cache_clear()
+            clear_run_caches()
             cold = run_link(sys_cfg, pa_cfg, ch_cfg)
             assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
 
@@ -314,7 +310,7 @@ class TestRunLink:
             with pytest.raises(ValueError):
                 cached[0] = 0
 
-    def test_a_cache_hit_designs_no_lowpass(self, monkeypatch):
+    def test_a_cache_hit_designs_no_lowpass(self, monkeypatch, clear_run_caches):
         # Both ends use the cached lowpass; only the bandpass is designed per run.
         designed = []
 
@@ -323,16 +319,14 @@ class TestRunLink:
             return _fn(spec, fs)
 
         monkeypatch.setattr(dsp, "design_butterworth", counted)
-        pipeline._receiver_noise.cache_clear()
-        pipeline._noise_root.cache_clear()
-        pipeline._lowpass.cache_clear()
+        clear_run_caches()
         for expected in (["lowpass", "bandpass"], ["bandpass"]):
             designed.clear()
             run_link(*_configs(n_symbols=500))
             assert designed == expected
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
-    def test_cached_drive_psd_follows_every_input(self):
+    def test_cached_drive_psd_follows_every_input(self, clear_run_caches):
         # Each config changes one input of the clipped drive from its
         # predecessor: a SystemConfig field, then the back-off. A cache key
         # that misses one returns the previous drive's PSD, and the warm run's
@@ -352,7 +346,7 @@ class TestRunLink:
         for change, sys_cfg, ibo in points:
             pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(0.9, sys_cfg, 4))
             warm = run_link(sys_cfg, pa_cfg, ChannelConfig())
-            pipeline._drive_psd.clear()
+            clear_run_caches()
             cold = run_link(sys_cfg, pa_cfg, ChannelConfig())
             assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
 
@@ -420,9 +414,17 @@ class TestRunLink:
         assert "pa" in str(err.value)
 
 
+def _image_sum_spectrum(sos, step, n):
+    """4 sum_i |H((nu + i) / step)|^2 / step at nu = j / n, j < n, by sosfreqz over the
+    step images: the ADC-rate spectrum of unit white noise mixed and filtered by `sos`."""
+    turns = (np.arange(n)[:, None] + n * np.arange(step)) / (n * step)
+    _, h = sig.sosfreqz(sos, worN=2.0 * np.pi * turns.ravel())
+    return 4.0 * np.sum(np.abs(h.reshape(n, step)) ** 2, axis=1) / step
+
+
 class TestReceiverNoise:
-    """The receiver noise is drawn at the ADC rate by circulant embedding of
-    dsp.receive_noise_covariance, r[m] = rho(m step)."""
+    """The receiver noise is drawn at the ADC rate from dsp.receive_noise_root,
+    the square root of its spectrum; both are checked against _image_sum_spectrum."""
 
     # Bound in standard errors, set before the first run. For a proper complex
     # Gaussian frame of N samples with real autocovariance r, the real part of
@@ -467,7 +469,7 @@ class TestReceiverNoise:
     def test_draw_and_kernel_have_the_modelled_autocovariance(self, analog_sps, order):
         sys_cfg, step, n = self._frame(analog_sps, order)
         sos = pipeline._lowpass(sys_cfg.lpf, sys_cfg.fs())
-        r = dsp.receive_noise_covariance(sos, step, 64)
+        r = np.fft.ifft(_image_sum_spectrum(sos, step, 512)).real[:64]
         assert np.max(np.abs(r[-8:])) <= 1e-9 * r[0]  # the sums above cover every lag
         drawn = pipeline._receiver_noise(2, n, sys_cfg.lpf, step, sys_cfg.fs())
         self._assert_autocovariance(drawn, r, "circulant draw", proper=True)
@@ -477,10 +479,10 @@ class TestReceiverNoise:
         kernel = dsp.downconvert(white, sos, step, sys_cfg.fc(), sys_cfg.fs())[64:]
         self._assert_autocovariance(kernel, r, "downconvert", proper=False)
 
-    def test_embedding_is_nonnegative_at_every_order_and_rate(self):
+    def test_root_is_the_image_sum_spectrum_at_every_order_and_rate(self):
         # The shortest accepted frame: the window must hold the PSD segment
-        # and exceed 2 rrc spans. Its circulant is the smallest, so the
-        # farthest from the positive spectrum it samples.
+        # and exceed 2 rrc spans. Its grid of 2k frequencies is the coarsest.
+        # The bound, 1e-11 of the peak, was set before the first run.
         span = RrcSpec().span
         shortest = 2 * span + max(metrics.PSD_SEGMENT_SYMBOLS, 2 * span + 1)
         SystemConfig(n_symbols=shortest)
@@ -491,24 +493,11 @@ class TestReceiverNoise:
         for order in range(1, dsp.MAX_BUTTERWORTH_ORDER + 1):
             for analog_sps in (16, 32, 64, 128, 256, 512):
                 sos = dsp.design_butterworth(ButterworthSpec(order=order), float(analog_sps))
-                r = dsp.receive_noise_covariance(sos, analog_sps // adc_sps, k + 1)
-                lam = np.fft.fft(np.concatenate([r, r[-2:0:-1]])).real
-                assert lam.min() > 0.0, (order, analog_sps, lam.min() / lam.max())
-
-    def test_a_covariance_that_does_not_embed_is_a_source_stage_error(self, monkeypatch):
-        # r[1] = 0.9 r[0] is no autocovariance: its spectrum 1 + 1.8 cos w dips below 0.
-        def not_embeddable(sos, step, n_lags):
-            r = np.zeros(n_lags)
-            r[:2] = 1.0, 0.9
-            return r
-
-        monkeypatch.setattr(dsp, "receive_noise_covariance", not_embeddable)
-        pipeline._receiver_noise.cache_clear()
-        pipeline._noise_root.cache_clear()
-        with pytest.raises(StageError, match="does not embed") as err:
-            run_link(*_configs(n_symbols=500))
-        assert err.value.stage == "source"
-        assert pipeline._noise_root.cache_info().currsize == 0
+                step = analog_sps // adc_sps
+                root = dsp.receive_noise_root(sos, step, k)
+                expected = np.sqrt(_image_sum_spectrum(sos, step, 2 * k) / (4 * k))
+                error = np.max(np.abs(root - expected)) / expected.max()
+                assert error <= 1e-11, (order, analog_sps, error)
 
 
 def _point_with_output(variant, bbpf, monkeypatch):
