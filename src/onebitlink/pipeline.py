@@ -139,32 +139,25 @@ def _stage(name):
 
 
 @functools.lru_cache(maxsize=1)
-def _lowpass(lpf, fs):
-    """The lowpass sections at fs, read-only: both ends of the link use them."""
+def _front_end(lpf, fs, step, k):
+    """The lowpass sections at fs, which both ends of the link use, and
+    dsp.receive_noise_root of them over k ADC samples, both read-only."""
     sos = dsp.design_butterworth(lpf, fs)
-    sos.flags.writeable = False
-    return sos
+    root = dsp.receive_noise_root(sos, step, k)
+    sos.flags.writeable = root.flags.writeable = False
+    return sos, root
 
 
 @functools.lru_cache(maxsize=1)
-def _noise_root(lpf, step, fs, k):
-    """dsp.receive_noise_root of the lowpass at fs over k ADC samples, read-only."""
-    root = dsp.receive_noise_root(_lowpass(lpf, fs), step, k)
-    root.flags.writeable = False
-    return root
-
-
-@functools.lru_cache(maxsize=1)
-def _receiver_noise(seed, n, lpf, step, fs):
-    """Unit channel noise of an n-sample frame after the receive front end, read-only.
+def _receiver_noise(seed, lpf, fs, step, k):
+    """Unit channel noise of k ADC samples after the receive front end, read-only.
 
     It is drawn at the ADC rate by circulant embedding, fft(root * z) with z
     from the second child of SeedSequence(seed); it is proper, so the carrier
     does not enter. One entry serves a sweep: every point runs at its seed.
     """
-    k = n // step
     z = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]).standard_normal(4 * k)
-    noise = sp_fft.fft(_noise_root(lpf, step, fs, k) * z.view(np.complex128))[:k].copy()
+    noise = sp_fft.fft(_front_end(lpf, fs, step, k)[1] * z.view(np.complex128))[:k].copy()
     noise.flags.writeable = False
     return noise
 
@@ -191,23 +184,26 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     The configured seed feeds a SeedSequence whose two children drive the
     symbol source and the channel noise, which the source stage draws at the
-    ADC rate (_receiver_noise, cached). b_pa is read from the bandpass's |H|^2
-    times the clipped drive's Welch PSD, S_y = |H|^2 S_v, taken once per
-    (SystemConfig, ibo) in the pa stage and cached (_clipped_drive_psd).
-    Identical configurations reproduce bit-identical metrics. Each frame-length
-    intermediate is freed after its last use.
+    ADC rate (_receiver_noise, cached) from the noise root that _front_end
+    caches with both ends' lowpass, keyed by the k ADC samples of the frame.
+    b_pa is read from the bandpass's |H|^2 times the clipped drive's Welch
+    PSD, S_y = |H|^2 S_v, taken once per (SystemConfig, ibo) in the pa stage
+    and cached (_clipped_drive_psd). Identical configurations reproduce
+    bit-identical metrics. Each frame-length intermediate is freed after its
+    last use.
     """
     fs = sys_cfg.fs()
     n_frame = sys_cfg.n_symbols * sys_cfg.analog_sps
     step = sys_cfg.analog_sps // sys_cfg.adc_sps
+    k = sys_cfg.n_symbols * sys_cfg.adc_sps
     sym_rng = np.random.default_rng(np.random.SeedSequence(sys_cfg.seed).spawn(2)[0])
 
     with _stage("source"):
         tx = draw_symbols(sys_cfg.n_symbols, sym_rng)
         # The lowpass both ends use, and the channel noise after the receive front
         # end, drawn before any frame-length buffer exists to keep the peak low.
-        lpf_sos = _lowpass(sys_cfg.lpf, fs)
-        noise = _receiver_noise(sys_cfg.seed, n_frame, sys_cfg.lpf, step, fs)
+        lpf_sos = _front_end(sys_cfg.lpf, fs, step, k)[0]
+        noise = _receiver_noise(sys_cfg.seed, sys_cfg.lpf, fs, step, k)
 
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.

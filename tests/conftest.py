@@ -14,12 +14,12 @@ settings.load_profile("tier1")
 @pytest.fixture
 def clear_run_caches():
     """clear_run_caches() empties every cache that run_link keeps between runs:
-    the lowpass, the noise root, the receiver noise and the clipped drive's PSD."""
+    each object in pipeline with a cache_clear, and the clipped drive's PSD."""
 
     def clear():
-        pipeline._lowpass.cache_clear()
-        pipeline._noise_root.cache_clear()
-        pipeline._receiver_noise.cache_clear()
+        for obj in vars(pipeline).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
         pipeline._drive_psd.clear()
 
     return clear

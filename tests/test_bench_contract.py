@@ -47,9 +47,9 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch, clear_run_caches):
     # iir_filter, kept only for perfbench (the pa bandpass calls sosfilt block
     # by block itself); and add_awgn, since run_link adds the noise that
     # _receiver_noise draws at the ADC rate after the receive front end. The
-    # caches are cleared first, so the lowpass design, the noise draw and the
-    # clipped drive's welch_psd (in the pa stage on a miss) run whatever ran
-    # before.
+    # caches are cleared first, so the front end (the lowpass design and the
+    # noise root), the noise draw and the clipped drive's welch_psd (in the pa
+    # stage on a miss) run whatever ran before.
     clear_run_caches()
     calls = {}
     for module, attr in _constant("TRACED"):

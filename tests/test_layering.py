@@ -1,5 +1,5 @@
 """The package's modules import each other without a cycle, and its
-settable values are the ones counted here.
+settable values and run caches are the ones counted here.
 
 The graph is built from each module's `from . import ...` and
 `from .module import ...` statements, read with `ast`, so nothing is imported.
@@ -101,3 +101,13 @@ def test_settable_values_are_the_counted_ones():
                or f.default_factory is not dataclasses.MISSING
                for f in dataclasses.fields(PaConfig)) == 2
     assert _keyword_defaults() == {"cli.main": 1, "optimizer.grid_search": 2}
+
+
+def test_run_caches_are_the_counted_ones():
+    # The caches run_link keeps between runs, which conftest's clear_run_caches
+    # empties: each function in pipeline with a cache_clear, plus the clipped
+    # drive's PSD dict. A change that adds or removes one edits this list and
+    # says so in CHANGES.md.
+    cached = sorted(name for name, obj in vars(pipeline).items() if hasattr(obj, "cache_clear"))
+    assert cached == ["_front_end", "_receiver_noise"]
+    assert isinstance(pipeline._drive_psd, dict)

@@ -292,38 +292,50 @@ class TestRunLink:
             assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
 
     def test_receiver_noise_cache_holds_one_entry(self):
-        # The noise by seed and frame, and the circulant root by frame alone.
+        # The noise by seed and frame, and the front end (lowpass and noise
+        # root) by frame alone.
         for seed, n_symbols in ((1, 500), (2, 500), (3, 600), (1, 500)):
             run_link(*_configs(n_symbols=n_symbols, seed=seed))
             assert pipeline._receiver_noise.cache_info().currsize == 1
-            assert pipeline._noise_root.cache_info().currsize == 1
+            assert pipeline._front_end.cache_info().currsize == 1
         sys_cfg = _configs(n_symbols=500)[0]
         step = sys_cfg.analog_sps // sys_cfg.adc_sps
         k = sys_cfg.n_symbols * sys_cfg.adc_sps
-        hits = pipeline._receiver_noise.cache_info().hits, pipeline._noise_root.cache_info().hits
-        noise = pipeline._receiver_noise(sys_cfg.seed, k * step, sys_cfg.lpf, step, sys_cfg.fs())
-        root = pipeline._noise_root(sys_cfg.lpf, step, sys_cfg.fs(), k)
+        key = (sys_cfg.lpf, sys_cfg.fs(), step, k)
+        hits = pipeline._receiver_noise.cache_info().hits, pipeline._front_end.cache_info().hits
+        noise = pipeline._receiver_noise(sys_cfg.seed, *key)
+        sos, root = pipeline._front_end(*key)
         assert (pipeline._receiver_noise.cache_info().hits,
-                pipeline._noise_root.cache_info().hits) == (hits[0] + 1, hits[1] + 1)
+                pipeline._front_end.cache_info().hits) == (hits[0] + 1, hits[1] + 1)
         assert noise.shape == (k,) and root.shape == (2 * k,)
-        for cached in (noise, root):
+        for cached in (noise, sos, root):
             with pytest.raises(ValueError):
                 cached[0] = 0
 
     def test_a_cache_hit_designs_no_lowpass(self, monkeypatch, clear_run_caches):
-        # Both ends use the cached lowpass; only the bandpass is designed per run.
-        designed = []
+        # Both ends use the cached lowpass, and the noise root is cached with
+        # it: a new seed designs only the bandpass and computes no root, a new
+        # frame length designs the lowpass once and computes the root once.
+        designed, roots = [], []
 
         def counted(spec, fs, _fn=dsp.design_butterworth):
             designed.append(spec.kind)
             return _fn(spec, fs)
 
+        def counted_root(sos, step, k, _fn=dsp.receive_noise_root):
+            roots.append(k)
+            return _fn(sos, step, k)
+
         monkeypatch.setattr(dsp, "design_butterworth", counted)
+        monkeypatch.setattr(dsp, "receive_noise_root", counted_root)
         clear_run_caches()
-        for expected in (["lowpass", "bandpass"], ["bandpass"]):
+        for n_symbols, seed, expected, n_roots in (
+                (500, 1, ["lowpass", "bandpass"], 1), (500, 1, ["bandpass"], 0),
+                (500, 2, ["bandpass"], 0), (600, 2, ["lowpass", "bandpass"], 1)):
             designed.clear()
-            run_link(*_configs(n_symbols=500))
-            assert designed == expected
+            roots.clear()
+            run_link(*_configs(n_symbols=n_symbols, seed=seed))
+            assert (designed, len(roots)) == (expected, n_roots), (n_symbols, seed)
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
     def test_cached_drive_psd_follows_every_input(self, clear_run_caches):
@@ -468,10 +480,11 @@ class TestReceiverNoise:
     @pytest.mark.parametrize("analog_sps,order", [(128, 4), (128, 1), (64, 4), (64, 1)])
     def test_draw_and_kernel_have_the_modelled_autocovariance(self, analog_sps, order):
         sys_cfg, step, n = self._frame(analog_sps, order)
-        sos = pipeline._lowpass(sys_cfg.lpf, sys_cfg.fs())
+        key = (sys_cfg.lpf, sys_cfg.fs(), step, n // step)
+        sos = pipeline._front_end(*key)[0]
         r = np.fft.ifft(_image_sum_spectrum(sos, step, 512)).real[:64]
         assert np.max(np.abs(r[-8:])) <= 1e-9 * r[0]  # the sums above cover every lag
-        drawn = pipeline._receiver_noise(2, n, sys_cfg.lpf, step, sys_cfg.fs())
+        drawn = pipeline._receiver_noise(2, *key)
         self._assert_autocovariance(drawn, r, "circulant draw", proper=True)
         # The full-rate reference: white noise mixed and filtered by the
         # receive kernel, less its start-up transient. It checks rho itself.
