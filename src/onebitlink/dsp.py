@@ -53,11 +53,10 @@ class ButterworthSpec:
     order is the analog prototype order N (scipy convention), at most
     MAX_BUTTERWORTH_ORDER: a lowpass design has N poles, a bandpass design 2N
     poles. cutoff_low/cutoff_high are the 3-dB edges in multiples of the baud
-    rate B; lowpass designs use cutoff_high only.
+    rate B; a spec with a cutoff_low is a bandpass, one without a lowpass.
     """
 
     order: int = 4
-    kind: str = "lowpass"
     cutoff_low: float | None = None
     cutoff_high: float = 1.0
 
@@ -65,17 +64,10 @@ class ButterworthSpec:
         if not 1 <= self.order <= MAX_BUTTERWORTH_ORDER:
             raise ConfigurationError(
                 f"butterworth order must lie in [1, {MAX_BUTTERWORTH_ORDER}], got {self.order}")
-        if self.kind not in ("lowpass", "bandpass"):
-            raise ConfigurationError(f"butterworth kind must be lowpass or bandpass, got {self.kind!r}")
-        if self.cutoff_high <= 0:
-            raise ConfigurationError(f"cutoff_high must be positive, got {self.cutoff_high}")
-        if self.kind == "bandpass":
-            if self.cutoff_low is None or self.cutoff_low <= 0:
-                raise ConfigurationError("bandpass design needs a positive cutoff_low")
-            if self.cutoff_low >= self.cutoff_high:
-                raise ConfigurationError(
-                    f"bandpass edges must satisfy cutoff_low < cutoff_high, got "
-                    f"[{self.cutoff_low}, {self.cutoff_high}]")
+        if self.cutoff_low is not None and self.cutoff_low >= self.cutoff_high:
+            raise ConfigurationError(
+                f"bandpass edges must satisfy cutoff_low < cutoff_high, got "
+                f"[{self.cutoff_low}, {self.cutoff_high}]")
 
 
 def design_rrc(spec):
@@ -101,17 +93,19 @@ def design_rrc(spec):
 def design_butterworth(spec, fs):
     """Design `spec` at sample rate `fs` and return second-order sections.
 
-    The digital design is prewarped so the magnitude is exactly -3 dB at the
-    specified edge frequencies. scipy raises ValueError for an edge at or
-    above fs/2; SystemConfig.require_band keeps the link's filters below it.
+    A spec with a cutoff_low is a bandpass, one without a lowpass. The digital
+    design is prewarped so the magnitude is exactly -3 dB at the specified
+    edge frequencies. scipy raises ValueError for an edge outside (0, fs/2);
+    SystemConfig.require_band keeps the link's filters inside it.
     """
-    edges = spec.cutoff_high if spec.kind == "lowpass" else [spec.cutoff_low, spec.cutoff_high]
-    sos = sig.butter(spec.order, edges, btype=spec.kind, fs=fs, output="sos")
+    btype = "lowpass" if spec.cutoff_low is None else "bandpass"
+    edges = spec.cutoff_high if spec.cutoff_low is None else [spec.cutoff_low, spec.cutoff_high]
+    sos = sig.butter(spec.order, edges, btype=btype, fs=fs, output="sos")
     for section in sos:
         poles = np.roots(section[3:])
         if np.any(np.abs(poles) >= 1.0):
             raise ConfigurationError(
-                f"unstable butterworth design: {spec.kind} order {spec.order} at fs={fs}")
+                f"unstable butterworth design: {btype} order {spec.order} at fs={fs}")
     return sos
 
 
@@ -243,12 +237,11 @@ def downconvert(x_p, sos, step, fc, fs):
     filtering equals filtering with the modulated taps 2 f[k] exp(j 2 pi fc k / fs)
     and mixing output n by conj(w)^n, w = exp(j 2 pi fc step / fs): the real
     frame meets complex taps in one real product, and no baseband frame is built.
-    x_p must be whole blocks of step samples (a partial block raises
-    ValueError); SystemConfig guarantees step >= 1 and fs > 2 fc.
+    x_p must be whole blocks of step samples (reshape raises ValueError on a
+    partial block); SystemConfig guarantees that of the link's frame, step >= 1
+    and fs > 2 fc.
     """
     x = np.asarray(x_p, dtype=np.float64)
-    if len(x) % step:
-        raise ValueError(f"frame of {len(x)} samples is not whole blocks of {step}")
     f, d = _look_ahead(sos, step)
     n_out = len(x) // step
     n_taps = len(f) - step + 1  # the rest of f is zero padding

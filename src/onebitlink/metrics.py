@@ -133,8 +133,6 @@ def welch_psd(x, fs):
     """
     x = np.asarray(x)
     seg = round(PSD_SEGMENT_SYMBOLS * fs)
-    if seg > len(x):
-        raise ValueError(f"PSD segment of {seg} samples exceeds signal length {len(x)}")
     # scipy.signal.welch's segments as a read-only strided view: the frame is never copied.
     hop = seg - seg // 2
     n_seg = (len(x) - seg) // hop + 1

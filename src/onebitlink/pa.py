@@ -60,7 +60,7 @@ class PaConfig:
         if self.ibo > high:
             raise ConfigurationError(
                 f"ibo={self.ibo:g} puts the power factors' ratio max(ibo, 1) above {high:g}")
-        if self.bpf.kind != "bandpass":
+        if self.bpf.cutoff_low is None:
             raise ConfigurationError("pa reconstruction filter must be a bandpass design")
 
     def power_factors(self):
@@ -114,8 +114,6 @@ def am_am_curve(v_sat, amplitudes):
     dense phase grid keeps harmonic aliasing negligible (< 1e-6 relative).
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
-    if np.any(amplitudes <= 0):
-        raise ValueError("probe amplitudes must be positive")
     phase = 2.0 * np.pi * np.arange(8 * 4096) / 4096
     probe = np.exp(-1j * phase)
     tone = np.cos(phase)

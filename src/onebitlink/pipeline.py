@@ -267,8 +267,8 @@ def bpf_spec_for(bbpf_over_b, sys_cfg, order):
     finds its delay, 1 / (pi W sin(pi / 2N)) symbols at order N, only up to 0.65 rrc.span."""
     half = bbpf_over_b * sys_cfg.b / 2.0
     sys_cfg.require_band("bandpass", half)
-    spec = dsp.ButterworthSpec(order=order, kind="bandpass",
-                               cutoff_low=sys_cfg.fc() - half, cutoff_high=sys_cfg.fc() + half)
+    spec = dsp.ButterworthSpec(order=order, cutoff_low=sys_cfg.fc() - half,
+                               cutoff_high=sys_cfg.fc() + half)
     delay = 1.0 / (math.pi * bbpf_over_b * math.sin(math.pi / (2 * order)))
     if delay > 0.65 * sys_cfg.rrc.span:
         raise ConfigurationError(

@@ -43,6 +43,12 @@ def test_zero_noise_is_identity():
     np.testing.assert_array_equal(y, x)
 
 
+def test_negative_noise_power_rejected():
+    # Its root would be nan: the waveform would come back all nan.
+    with pytest.raises(ValueError, match="noise power must be nonnegative, got -0.1"):
+        add_awgn(np.zeros(16), -0.1, b=1.0, fs=128.0, rng=0)
+
+
 def test_per_sample_variance():
     rng = np.random.default_rng(11)
     y = add_awgn(np.zeros(200000), sigma_n2=0.02, b=1.0, fs=128.0, rng=rng)

@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from onebitlink import cli, optimizer, pipeline
+from onebitlink import cli, dsp, optimizer, pipeline
+from onebitlink.errors import ConfigurationError
 
 FAST_CFG = "system.n_symbols = 2000\n"
 
@@ -517,6 +518,43 @@ class TestBadInput:
         assert rc == 1
         assert time.perf_counter() - t0 < 1.0
         assert "grid.bbpf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,reason", [
+        ("grid.ibo = 1:2", "range form is lo:step:hi"),
+        ("grid.bbpf = 2:0.1:1", "range needs step > 0 and hi >= lo"),
+        ("grid.bbpf = 0.4:0:2", "range needs step > 0 and hi >= lo"),
+    ])
+    def test_malformed_range_exits_1_without_output(self, tmp_path, monkeypatch, capsys,
+                                                    setting, reason):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_cfg(tmp_path, FAST_CFG + setting + "\n")
+        assert cli.main(["sweep", "--config", cfg, "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and reason in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_bandpass_too_narrow_for_two_edges_exits_1(self, tmp_path, capsys):
+        # 1e-320 B is positive, but fc -+ 0.5e-320 round to the same edge.
+        rc = cli.main(["run", "--bbpf", "1e-320", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cutoff_low < cutoff_high" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_configuration_error_mid_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        # Only the design finds an unstable bandpass; run_link passes its
+        # ConfigurationError through, and no run.csv is written.
+        def unstable_bandpass(spec, fs, _fn=dsp.design_butterworth):
+            if spec.cutoff_low is not None:
+                raise ConfigurationError("unstable butterworth design: synthetic")
+            return _fn(spec, fs)
+
+        monkeypatch.setattr(dsp, "design_butterworth", unstable_bandpass)
+        cfg = _write_cfg(tmp_path, FAST_CFG)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "unstable butterworth design: synthetic" in err
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 class TestAmam:

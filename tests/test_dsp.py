@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_link import align_loop
 from scipy import signal as sig
 
 from onebitlink import dsp
@@ -97,26 +98,22 @@ class TestRrc:
 class TestButterworth:
     def test_lowpass_skirt_anchor(self):
         # order-4 magnitude at twice the cutoff: 1/(1 + 2^8) of the power
-        sos = design_butterworth(ButterworthSpec(order=4, kind="lowpass",
-                                                 cutoff_high=1.0), fs=128.0)
+        sos = design_butterworth(ButterworthSpec(order=4, cutoff_high=1.0), fs=128.0)
         mag2 = _freqz_sos(sos, 2.0, 128.0) ** 2
         # digital design tracks the analog magnitude to well under 1% here
         assert np.isclose(mag2, 1.0 / 257.0, rtol=0.01)
 
     def test_lowpass_pole_count(self):
-        sos = design_butterworth(ButterworthSpec(order=4, kind="lowpass",
-                                                 cutoff_high=1.0), fs=128.0)
+        sos = design_butterworth(ButterworthSpec(order=4, cutoff_high=1.0), fs=128.0)
         assert sos.shape[0] == 2  # 4 poles, two biquads
 
     def test_bandpass_pole_count(self):
-        spec = ButterworthSpec(order=4, kind="bandpass",
-                               cutoff_low=29.55, cutoff_high=30.45)
+        spec = ButterworthSpec(order=4, cutoff_low=29.55, cutoff_high=30.45)
         sos = design_butterworth(spec, fs=128.0)
         assert sos.shape[0] == 4  # prototype order 4 doubles to 8 poles
 
     def test_bandpass_response(self):
-        spec = ButterworthSpec(order=4, kind="bandpass",
-                               cutoff_low=29.55, cutoff_high=30.45)
+        spec = ButterworthSpec(order=4, cutoff_low=29.55, cutoff_high=30.45)
         sos = design_butterworth(spec, fs=128.0)
         assert np.isclose(_freqz_sos(sos, 30.0, 128.0), 1.0, atol=5e-3)
         for edge in (29.55, 30.45):
@@ -126,15 +123,23 @@ class TestButterworth:
         # A 1e-14 B bandpass at this carrier puts a pole on the unit circle,
         # which only the design itself can find.
         fc, half = 15.594269566389382, 0.5e-14
-        spec = ButterworthSpec(order=4, kind="bandpass", cutoff_low=fc - half, cutoff_high=fc + half)
+        spec = ButterworthSpec(order=4, cutoff_low=fc - half, cutoff_high=fc + half)
         with pytest.raises(ConfigurationError, match="unstable butterworth design"):
             design_butterworth(spec, fs=128.0)
 
     def test_rejects_cutoff_at_nyquist(self):
         # scipy's own check; SystemConfig.require_band keeps the link below it
         with pytest.raises(ValueError):
-            design_butterworth(ButterworthSpec(order=4, kind="lowpass",
-                                               cutoff_high=64.0), fs=128.0)
+            design_butterworth(ButterworthSpec(order=4, cutoff_high=64.0), fs=128.0)
+
+    # The spec checks no edge's sign: bpf_spec_for and SystemConfig.require_band
+    # keep the link's edges inside (0, fs/2), and scipy rejects a direct call's.
+    @pytest.mark.parametrize("edges", [dict(cutoff_high=0.0), dict(cutoff_high=-1.0),
+                                       dict(cutoff_low=0.0, cutoff_high=1.0),
+                                       dict(cutoff_low=-1.0, cutoff_high=1.0)])
+    def test_rejects_an_edge_at_or_below_zero(self, edges):
+        with pytest.raises(ValueError, match="critical frequencies must be greater than 0"):
+            design_butterworth(ButterworthSpec(order=4, **edges), fs=128.0)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -142,9 +147,7 @@ class TestButterworth:
         with pytest.raises(ConfigurationError):
             ButterworthSpec(order=dsp.MAX_BUTTERWORTH_ORDER + 1)
         with pytest.raises(ConfigurationError):
-            ButterworthSpec(kind="highpass")
-        with pytest.raises(ConfigurationError):
-            ButterworthSpec(kind="bandpass", cutoff_low=2.0, cutoff_high=1.0)
+            ButterworthSpec(cutoff_low=2.0, cutoff_high=1.0)
 
 
 class TestFilters:
@@ -182,6 +185,12 @@ class TestRateChanges:
     def test_zoh(self):
         np.testing.assert_allclose(zoh_hold(np.array([1.0, 2.0]), 3),
                                    [1, 1, 1, 2, 2, 2])
+
+    @pytest.mark.parametrize("hold", [0, -1])
+    def test_zoh_rejects_a_hold_below_one(self, hold):
+        # np.repeat would return an empty frame for 0 and raise its own error for -1.
+        with pytest.raises(ValueError, match=f"hold factor must be >= 1, got {hold}"):
+            zoh_hold(np.array([1.0, 2.0]), hold)
 
 
 class TestBlockRateLowpass:
@@ -226,7 +235,8 @@ class TestBlockRateLowpass:
 
     # "real" feeds a white real frame, "complex" the passband of a complex
     # baseband frame, the receiver's own kind of input. A frame one sample
-    # off whole blocks is rejected (unless step is 1); its whole blocks match.
+    # off whole blocks fails numpy's reshape (unless step is 1); its whole
+    # blocks match.
     @pytest.mark.parametrize("extra", [0, 1, -1], ids=["whole", "plus1", "minus1"])
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("step", [1, 4, 32, 128])
@@ -238,7 +248,7 @@ class TestBlockRateLowpass:
             x = _mix_up(x, self.FC, self.FS)
         whole = len(x) - len(x) % step
         if whole < len(x):
-            with pytest.raises(ValueError, match="not whole blocks"):
+            with pytest.raises(ValueError, match="cannot reshape"):
                 downconvert(x, sos, step, self.FC, self.FS)
         self._assert_receive(x[:whole], sos, step, self.FC, self.FS)
 
@@ -286,20 +296,6 @@ class TestBlockRateLowpass:
         assert peak <= 0.6 * frame, f"peak {peak / frame:.2f} real frames"
 
 
-def _align_loop(tx, rx_soft, trim, stride):
-    """The lag search one np.vdot per lag, the reference for align's per-phase correlations."""
-    metric = np.full(trim * stride + 1, -1.0)
-    for lag in range(len(metric)):
-        r = rx_soft[lag::stride][:len(tx)]
-        if len(r):
-            metric[lag] = np.abs(np.vdot(tx[:len(r)], r)) / len(r)
-    lag = int(np.flatnonzero(metric >= 0.99 * metric.max()).min())
-    r = rx_soft[lag::stride][:len(tx)]
-    t = tx[:len(r)]
-    c = np.vdot(r, t) / np.vdot(r, r)
-    return lag, c, t[trim:len(t) - trim], c * r[trim:len(t) - trim]
-
-
 class TestAlign:
     # (rx_soft dtype, stride, delay, len(rx_soft) as a multiple of len(tx) * stride, plus extra)
     @pytest.mark.parametrize("kind,stride,delay,frames,extra", [
@@ -322,7 +318,7 @@ class TestAlign:
         k = len(rx[delay::stride][:n])
         rx[delay::stride][:k] += gain * tx[:k]
         got = align(tx, rx, trim=10, stride=stride)
-        expected = _align_loop(tx, rx, trim=10, stride=stride)
+        expected = align_loop(tx, rx, trim=10, stride=stride)
         assert got[0] == expected[0] == delay
         assert got[1] == expected[1]
         np.testing.assert_array_equal(got[2], expected[2])
@@ -338,7 +334,7 @@ class TestAlign:
         rx[37::3] += 0.995 * tx[:388]
         with pytest.warns(AlignmentAmbiguityWarning, match=r"lags \[7, 37\]"):
             got = align(tx, rx, trim=16, stride=3)
-        expected = _align_loop(tx, rx, trim=16, stride=3)
+        expected = align_loop(tx, rx, trim=16, stride=3)
         assert got[0] == expected[0] == 7
         assert got[1] == expected[1]
         np.testing.assert_array_equal(got[3], expected[3])

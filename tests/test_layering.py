@@ -10,7 +10,7 @@ import dataclasses
 import os
 
 import onebitlink
-from onebitlink import config, pipeline
+from onebitlink import config, dsp, pipeline
 from onebitlink.pa import PaConfig
 
 PACKAGE = os.path.dirname(os.path.abspath(onebitlink.__file__))
@@ -97,6 +97,8 @@ def test_settable_values_are_the_counted_ones():
     assert len(config._SCHEMA) == 19
     assert len(dataclasses.fields(pipeline.SystemConfig)) == 7
     assert len(dataclasses.fields(config.ExperimentConfig)) == 9
+    assert len(dataclasses.fields(dsp.ButterworthSpec)) == 3
+    assert len(dataclasses.fields(dsp.RrcSpec)) == 3
     assert sum(f.default is not dataclasses.MISSING
                or f.default_factory is not dataclasses.MISSING
                for f in dataclasses.fields(PaConfig)) == 2

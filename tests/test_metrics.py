@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestMutualInformation:
         rx = tx + 0.5 * (rng.standard_normal(len(tx)) + 1j * rng.standard_normal(len(tx)))
         mi = mutual_information(tx, rx, bins_per_dim=8)
         assert 0.0 <= mi <= 2.0
+
+    @pytest.mark.parametrize("bins", [2, 8])
+    @pytest.mark.parametrize("level", [0.0, 0.5 - 0.25j])
+    def test_constant_receive_stream_carries_no_information(self, bins, level):
+        # A zero spread would put every value at +-inf or nan in the bins; a
+        # constant stream falls in one cell instead.
+        tx = _symbols(1000, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert mutual_information(tx, np.full(len(tx), level, dtype=complex), bins) == 0.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +165,12 @@ class TestOccupiedBandwidth:
         width = occupied_bandwidth(psd, fc=30.0)
         assert band_power(width) == pytest.approx(0.9375 * psd.total_power, rel=1e-12)
         assert band_power(width * (1.0 - 1e-9)) < 0.9375 * psd.total_power
+
+    def test_zero_power_psd_rejected(self):
+        freqs = np.linspace(0.0, 64.0, 1024)
+        psd = PsdEstimate(freqs=freqs, values=np.zeros_like(freqs), total_power=0.0)
+        with pytest.raises(ValueError, match="zero-power PSD is undefined"):
+            occupied_bandwidth(psd, fc=30.0)
 
     def test_carrier_outside_psd_rejected(self):
         freqs = np.linspace(0.0, 64.0, 1024)

@@ -28,10 +28,19 @@ def test_clip_bound_is_exact():
     np.testing.assert_allclose(y[inside], x[inside])
 
 
+@pytest.mark.parametrize("v_sat", [0.0, -0.7])
+def test_clip_rejects_a_saturation_level_not_above_zero(v_sat):
+    # np.clip would return a zero frame for 0, and a frame of -v_sat for v_sat < 0.
+    x = np.array([0.5, -2.0])
+    with pytest.raises(ValueError, match=f"v_sat must be positive, got {v_sat}"):
+        clip(x, v_sat)
+    assert np.array_equal(x, [0.5, -2.0])
+
+
 def test_clip_and_bandpass_work_in_place():
     x = 3.0 * np.random.default_rng(3).standard_normal(1000)
-    sos = design_butterworth(ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55,
-                                             cutoff_high=30.45), fs=128.0)
+    sos = design_butterworth(ButterworthSpec(order=4, cutoff_low=29.55, cutoff_high=30.45),
+                             fs=128.0)
     assert clip(x, 0.7) is x and np.max(np.abs(x)) <= 0.7
     assert bandpass_reconstruct(x, sos) is x
 
@@ -40,7 +49,7 @@ def test_clip_and_bandpass_work_in_place():
 def test_blockwise_bandpass_has_the_bits_of_one_sosfilt_call(order):
     # Two whole blocks and a partial one: the section state crosses each seam.
     x = np.random.default_rng(order).standard_normal(2 * _BLOCK + 12345)
-    sos = design_butterworth(ButterworthSpec(order=order, kind="bandpass", cutoff_low=29.55,
+    sos = design_butterworth(ButterworthSpec(order=order, cutoff_low=29.55,
                                              cutoff_high=30.45), fs=128.0)
     expected = sig.sosfilt(sos, x)
     assert np.array_equal(bandpass_reconstruct(x, sos), expected)
@@ -74,11 +83,18 @@ def test_first_harmonic_saturates_at_bound():
     assert deep <= HARMONIC_BOUND
 
 
+def test_first_harmonic_of_a_sign_flipped_or_zero_tone():
+    # A tone of amplitude -a is the same tone half a period later: the same f(a).
+    amps = np.array([0.5, 2.0])
+    assert np.array_equal(am_am_curve(1.0, -amps), am_am_curve(1.0, amps))
+    assert am_am_curve(1.0, np.array([0.0]))[0] == 0.0
+
+
 def test_pa_power_of_sinusoid():
     # mean rectified sinusoid is (2/pi) A, so p_pa = v_sat * (2/pi) A
     n = 4096 * 8
     y_p = 0.3 * np.cos(2 * np.pi * np.arange(n) / 4096.0)
-    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
+    bpf = ButterworthSpec(order=4, cutoff_low=29.55, cutoff_high=30.45)
     s, f_pa, _ = PaConfig(bpf=bpf, ibo=0.5).power_factors()
     assert np.isclose(f_pa * pa_power(y_p / s, window=slice(None)),
                       0.5 * TWO_OVER_PI * 0.3, rtol=1e-5)
@@ -87,13 +103,13 @@ def test_pa_power_of_sinusoid():
 def test_transmit_power_mean_product():
     y = np.array([1.0, -1.0, 2.0])
     i = y / 2.0  # load current into 2 ohms
-    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
+    bpf = ButterworthSpec(order=4, cutoff_low=29.55, cutoff_high=30.45)
     _, _, f_t = PaConfig(bpf=bpf, ibo=2.0, r_load=2.0).power_factors()
     assert np.isclose(f_t * transmit_power(y, slice(None)), np.mean(i * y))
 
 
 def test_powers_are_unit_load_values_over_r_load():
-    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
+    bpf = ButterworthSpec(order=4, cutoff_low=29.55, cutoff_high=30.45)
     for ibo, s in ((0.3, 0.3), (1.0, 1.0), (4.0, 1.0)):
         assert PaConfig(bpf=bpf, ibo=ibo).power_factors() == (s, ibo * s, s * s)
         for r_load in (0.5, 50.0):
@@ -109,8 +125,7 @@ def test_clipped_sine_chain_respects_harmonic_bound():
     x = np.sqrt(2.0) * np.cos(2 * np.pi * fc * np.arange(n) / fs)  # unit RMS
     v_sat = 0.1 * np.sqrt(np.mean(np.square(x)))  # back-off 0.1
     v_t = clip(x, v_sat)
-    sos = design_butterworth(ButterworthSpec(order=4, kind="bandpass",
-                                             cutoff_low=fc - 0.45,
+    sos = design_butterworth(ButterworthSpec(order=4, cutoff_low=fc - 0.45,
                                              cutoff_high=fc + 0.45), fs=fs)
     y_p = bandpass_reconstruct(v_t, sos)
     settle = slice(2048, n)
@@ -123,7 +138,7 @@ def test_clipped_sine_chain_respects_harmonic_bound():
 
 
 def test_pa_config_validation():
-    bpf = ButterworthSpec(order=4, kind="bandpass", cutoff_low=29.55, cutoff_high=30.45)
+    bpf = ButterworthSpec(order=4, cutoff_low=29.55, cutoff_high=30.45)
     with pytest.raises(ConfigurationError):
         PaConfig(bpf=bpf, ibo=0.0)
     # At r_load 1 the factors' floor 1e-300 is the back-off floor 1e-150.
@@ -145,5 +160,5 @@ def test_pa_config_validation():
     assert PaConfig(bpf=bpf, ibo=1e300, r_load=1e9).ibo == 1e300
     with pytest.raises(ConfigurationError, match=re.escape("ratio max(ibo, 1) above 1e+300")):
         PaConfig(bpf=bpf, ibo=1.01e300, r_load=1e9)
-    with pytest.raises(ConfigurationError):
-        PaConfig(bpf=ButterworthSpec(order=4, kind="lowpass", cutoff_high=1.0))
+    with pytest.raises(ConfigurationError, match="must be a bandpass design"):
+        PaConfig(bpf=ButterworthSpec(order=4, cutoff_high=1.0))

@@ -319,7 +319,7 @@ class TestRunLink:
         designed, roots = [], []
 
         def counted(spec, fs, _fn=dsp.design_butterworth):
-            designed.append(spec.kind)
+            designed.append("lowpass" if spec.cutoff_low is None else "bandpass")
             return _fn(spec, fs)
 
         def counted_root(sos, step, k, _fn=dsp.receive_noise_root):
@@ -417,13 +417,24 @@ class TestRunLink:
     def test_stage_error_names_the_stage(self):
         sys_cfg = SystemConfig(n_symbols=2000)
         # bandpass edges legal in themselves but above this chain's Nyquist
-        bad_bpf = ButterworthSpec(order=4, kind="bandpass",
-                                  cutoff_low=50.0, cutoff_high=70.0)
+        bad_bpf = ButterworthSpec(order=4, cutoff_low=50.0, cutoff_high=70.0)
         pa_cfg = PaConfig(ibo=0.1, bpf=bad_bpf)
         with pytest.raises(StageError) as err:
             run_link(sys_cfg, pa_cfg, ChannelConfig())
         assert err.value.stage == "pa"
         assert "pa" in str(err.value)
+
+    def test_configuration_error_mid_run_is_not_a_stage_error(self, monkeypatch):
+        # A setting found bad only by the design (an unstable bandpass) stays a
+        # ConfigurationError, so the CLI exits 1 for it, not 2.
+        def unstable_bandpass(spec, fs, _fn=dsp.design_butterworth):
+            if spec.cutoff_low is not None:
+                raise ConfigurationError("unstable butterworth design: synthetic")
+            return _fn(spec, fs)
+
+        monkeypatch.setattr(dsp, "design_butterworth", unstable_bandpass)
+        with pytest.raises(ConfigurationError, match="synthetic"):
+            run_link(*_configs(n_symbols=500))
 
 
 def _image_sum_spectrum(sos, step, n):
@@ -575,7 +586,6 @@ def test_filtered_drive_psd_carries_the_output_power(variant, monkeypatch):
 
 def test_bpf_spec_for_centers_on_carrier():
     spec = bpf_spec_for(0.9, SystemConfig(), 4)
-    assert spec.kind == "bandpass"
     assert np.isclose(spec.cutoff_low, 30.0 - 0.45)
     assert np.isclose(spec.cutoff_high, 30.0 + 0.45)
 
