@@ -41,11 +41,23 @@ def _grid_row(system, ibo, bbpf, m):
 
 
 def _make_out_dir(path):
-    """Create the output directory before any work; failing that is a configuration error."""
+    """Create the output directory; failing that is a configuration error."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+
+
+def _check_out_dir(path):
+    """Raise a configuration error unless the nearest existing ancestor of path,
+    or path itself, is a directory: the check run makes before its work, since
+    it creates the directory only once the metrics exist."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigurationError(
+            f"cannot create output directory {path}: {head} is not a directory")
 
 
 def _load_experiment(args):
@@ -64,8 +76,9 @@ def _load_experiment(args):
 def cmd_run(args):
     cfg = _load_experiment(args)
     sys_cfg, pa_cfg, ch_cfg = cfg.system_config(), cfg.pa_config(), cfg.channel_config()
-    _make_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir)
     metrics = pipeline.run_link(sys_cfg, pa_cfg, ch_cfg)
+    _make_out_dir(cfg.out_dir)  # once the metrics exist: a failed run leaves no directory
     bias = plugin_mi_bias(sys_cfg.mi_bins, sys_cfg.n_symbols - 2 * sys_cfg.rrc.span)
     print(f"system={cfg.variant} ibo={cfg.ibo:.6g} b_bpf={cfg.bbpf_over_b:.6g}B "
           f"seed={cfg.seed}")

@@ -138,14 +138,16 @@ def welch_psd(x, fs):
     n_seg = (len(x) - seg) // hop + 1
     segments = sliding_window_view(x, seg)[::hop][:n_seg]
     window = sig.get_window("hann", seg)
-    values = np.zeros(seg // 2 + 1)
+    # Each block's spectra are squared in place through their float64 view and
+    # summed over the segments into interleaved (re^2, im^2) sums, which are
+    # added once at the end.
+    sums = np.zeros(2 * (seg // 2 + 1))
     block = max(1, _PSD_BLOCK_SAMPLES // seg)
     for start in range(0, n_seg, block):
-        spec = sp_fft.rfft(segments[start:start + block] * window, axis=-1)
-        power = np.square(spec.real)
-        power += np.square(spec.imag, out=spec.imag)
-        values += np.sum(power, axis=0)
-        del spec, power  # before the next block's transform allocates its own
+        power = sp_fft.rfft(segments[start:start + block] * window, axis=-1).view(np.float64)
+        sums += np.add.reduce(np.square(power, out=power), axis=0)
+        del power  # before the next block's transform allocates its own
+    values = np.add.reduce(sums.reshape(-1, 2), axis=1)
     values /= fs * np.sum(window ** 2) * n_seg
     values[1:(seg + 1) // 2] *= 2.0  # one-sided; an even segment's Nyquist bin stays single
     freqs = np.fft.rfftfreq(seg, 1.0 / fs)

@@ -5,8 +5,11 @@ by a bandpass reconstruction filter. Battery draw is computed from the load
 current i_L = y_p / r_load as v_sat * mean|i_L|, transmit power as mean(i_L * y_p).
 The chain runs the amplifier on y = y_p / min(ibo, 1), of order 1 at every
 back-off, so the back-off's size and r_load enter only PaConfig.power_factors.
-The clipper and the filter work in place and the powers are summed a block at
-a time, so the stage holds one frame: the drive's buffer becomes y.
+The stage makes two passes over its frame, both in place: clip divides the
+drive by its scale and clips it a block at a time, and bandpass_reconstruct
+filters it a block at a time and sums |y| and y^2 of each block while the
+block is in cache. pa_power and transmit_power then only add the block sums.
+So the stage holds one frame: the drive's buffer becomes y.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,8 @@ HARMONIC_BOUND = 4.0 / np.pi
 # width (pipeline.bpf_spec_for; orders 1-16, sys1-sys3, 600 symbols).
 POWER_FACTOR_RANGE = (1e-300, 1e300)
 
-# Samples per block of the in-place bandpass and of the power sums.
+# Samples per block of the clip, the bandpass and the power sums: a block and
+# its filtered copy stay in a core's cache while the block is summed.
 _BLOCK = 2 ** 16
 
 
@@ -70,25 +74,45 @@ class PaConfig:
         return s, self.ibo / self.r_load * s, s / self.r_load * s
 
 
-def clip(x_p, v_sat):
-    """Hard-limit the float array x_p to [-v_sat, +v_sat] in place and return it."""
+def clip(x_p, v_sat, divisor):
+    """Divide the float array x_p by divisor and hard-limit it to [-v_sat, +v_sat],
+    in place a _BLOCK at a time, and return it. A quotient that overflows is inf,
+    which the clip takes to +-v_sat like the rest."""
     if v_sat <= 0:
         raise ValueError(f"v_sat must be positive, got {v_sat}")
-    return np.clip(x_p, -v_sat, v_sat, out=x_p)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(x_p), _BLOCK):
+            block = x_p[start:start + _BLOCK]
+            block /= divisor
+            np.clip(block, -v_sat, v_sat, out=block)
+    return x_p
 
 
-def bandpass_reconstruct(v_t, sos):
-    """Bandpass-filter the float array v_t in place and return it.
+def bandpass_reconstruct(v_t, sos, window):
+    """Bandpass-filter the float array v_t in place into y; return y (v_t
+    itself) and the sums of |y| and y^2 over each _BLOCK of y[window], a row
+    per block.
 
-    sos are second-order sections from design_butterworth. The sections'
-    state carries from block to block, so the result has the bits of one
-    scipy.signal.sosfilt call on the whole waveform.
+    sos are second-order sections from design_butterworth. The blocks are
+    cut at the window's edges, and the sections' state carries from block to
+    block, so y has the bits of one scipy.signal.sosfilt call on the whole
+    waveform. Inside the window the blocks are mean_of's on y[window], so
+    pa_power and transmit_power keep its bits.
     """
+    start, stop, _ = window.indices(len(v_t))
+    edges = [0, *range(start, stop, _BLOCK), stop, len(v_t)]
+    sums = np.empty((len(edges) - 3, 2))
     state = np.zeros((len(sos), 2))
-    for start in range(0, len(v_t), _BLOCK):
-        block = v_t[start:start + _BLOCK]
+    for lo, hi in zip(edges, edges[1:]):
+        if hi == lo:
+            continue
+        block = v_t[lo:hi]
         block[:], state = sig.sosfilt(sos, block, zi=state)
-    return v_t
+        if start <= lo < stop:
+            row = sums[(lo - start) // _BLOCK]
+            row[0] = np.add.reduce(np.abs(block))
+            row[1] = np.add.reduce(np.square(block))
+    return v_t, sums
 
 
 def mean_of(fn, x):
@@ -96,14 +120,16 @@ def mean_of(fn, x):
     return sum(np.add.reduce(fn(x[i:i + _BLOCK])) for i in range(0, len(x), _BLOCK)) / len(x)
 
 
-def pa_power(y, window):
-    """mean|y| over the measurement window; p_pa is f_pa times it (PaConfig.power_factors)."""
-    return mean_of(np.abs, y[window])
+def pa_power(sums, n):
+    """mean|y| over a window of n samples, from bandpass_reconstruct's block sums;
+    p_pa is f_pa times it (PaConfig.power_factors)."""
+    return sum(sums[:, 0]) / n
 
 
-def transmit_power(y, window):
-    """mean(y^2) over the measurement window; p_t is f_t times it (PaConfig.power_factors)."""
-    return mean_of(np.square, y[window])
+def transmit_power(sums, n):
+    """mean(y^2) over a window of n samples, from bandpass_reconstruct's block sums;
+    p_t is f_t times it (PaConfig.power_factors)."""
+    return sum(sums[:, 1]) / n
 
 
 def am_am_curve(v_sat, amplitudes):
@@ -119,6 +145,6 @@ def am_am_curve(v_sat, amplitudes):
     tone = np.cos(phase)
     out = np.empty(len(amplitudes))
     for i, a in enumerate(amplitudes):
-        v_t = clip(a * tone, v_sat)
+        v_t = clip(a * tone, v_sat, 1.0)
         out[i] = 2.0 * np.abs(np.mean(v_t * probe))
     return out

@@ -34,8 +34,8 @@ _VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (Fa
 VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
-# run's traced peak is about 0.8 complex frames (0.83-0.86 for sys1-3 at the
-# default frame with the caches cleared, 0.77-0.79 warm).
+# run's traced peak is about 0.8 complex frames (0.82-0.86 for sys1-3 at the
+# default frame with the caches cleared, 0.75-0.76 warm).
 MAX_FRAME_SAMPLES = 2 ** 24
 
 
@@ -162,6 +162,35 @@ def _receiver_noise(seed, lpf, fs, step, k):
     return noise
 
 
+@functools.lru_cache(maxsize=1)
+def _transmit_input(sys_cfg):
+    """What every point of sys_cfg shares up to the amplifier, filled by
+    run_link's stages on its first point: the symbols ("tx"), the RRC taps
+    ("taps") and the DAC's input ("dac_in"), each read-only, and the RMS of
+    the drive over the measurement window ("rms"). One entry serves a sweep's
+    row after row of one system: every point runs at its seed."""
+    return {}
+
+
+def _held(store, key, make):
+    """store[key], made by make() on the first call; an array is made read-only."""
+    if key not in store:
+        value = make()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        store[key] = value
+    return store[key]
+
+
+@functools.lru_cache(maxsize=32)
+def _bandpass(spec, fs):
+    """The bandpass sections of spec at fs, by dsp.design_butterworth as it is
+    at the call. Every row of a sweep repeats its widths, and the entries hold
+    the default grid's 17. The sections stay writable, since
+    scipy.signal.sosfilt rejects read-only ones; no stage writes to them."""
+    return dsp.design_butterworth(spec, fs)
+
+
 # The clipped drive's PSD for the last (SystemConfig, ibo), read-only. The
 # drive does not depend on the bandpass, r_load or the channel, so every width
 # of a sweep row reads its b_pa from this one Welch estimate.
@@ -186,9 +215,13 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     symbol source and the channel noise, which the source stage draws at the
     ADC rate (_receiver_noise, cached) from the noise root that _front_end
     caches with both ends' lowpass, keyed by the k ADC samples of the frame.
-    b_pa is read from the bandpass's |H|^2 times the clipped drive's Welch
-    PSD, S_y = |H|^2 S_v, taken once per (SystemConfig, ibo) in the pa stage
-    and cached (_clipped_drive_psd). Identical configurations reproduce
+    The symbols, the RRC taps, the DAC's input and the drive's RMS depend on
+    sys_cfg alone and are made on its first point (_transmit_input, cached);
+    a later point converts, upconverts, scales and clips them anew. The
+    bandpass design is cached by its spec and rate (_bandpass). b_pa is read
+    from the bandpass's |H|^2 times the clipped drive's Welch PSD,
+    S_y = |H|^2 S_v, taken once per (SystemConfig, ibo) in the pa stage and
+    cached (_clipped_drive_psd). Identical configurations reproduce
     bit-identical metrics. Each frame-length intermediate is freed after its
     last use.
     """
@@ -196,10 +229,11 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     n_frame = sys_cfg.n_symbols * sys_cfg.analog_sps
     step = sys_cfg.analog_sps // sys_cfg.adc_sps
     k = sys_cfg.n_symbols * sys_cfg.adc_sps
-    sym_rng = np.random.default_rng(np.random.SeedSequence(sys_cfg.seed).spawn(2)[0])
+    held = _transmit_input(sys_cfg)
 
     with _stage("source"):
-        tx = draw_symbols(sys_cfg.n_symbols, sym_rng)
+        tx = _held(held, "tx", lambda: draw_symbols(sys_cfg.n_symbols, np.random.default_rng(
+            np.random.SeedSequence(sys_cfg.seed).spawn(2)[0])))
         # The lowpass both ends use, and the channel noise after the receive front
         # end, drawn before any frame-length buffer exists to keep the peak low.
         lpf_sos = _front_end(sys_cfg.lpf, fs, step, k)[0]
@@ -207,32 +241,31 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.
-        taps = dsp.design_rrc(sys_cfg.rrc)
-        if sys_cfg.shaped:
-            dac_in = dsp.fir_filter(dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps)
-        else:
-            dac_in = tx
+        taps = _held(held, "taps", lambda: dsp.design_rrc(sys_cfg.rrc))
+        dac_in = _held(held, "dac_in", lambda: dsp.fir_filter(
+            dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps) if sys_cfg.shaped else tx)
 
     with _stage("dac"):
         if sys_cfg.one_bit:
             dac_in = quantizers.one_bit_quantize(dac_in)
         # The shaper's output sets the DAC rate; the hold fills the analog frame.
         wave = dsp.upconvert(dac_in, lpf_sos, n_frame // len(dac_in), sys_cfg.fc(), fs)
+        del dac_in  # a 1-bit DAC's converted copy; the held input stays cached
 
     with _stage("pa"):
-        # x_p at unit RMS (so v_sat is ibo), divided by s. Below s ~ 1e-308 peaks
-        # overflow to inf, which the clip takes to ibo / s like the rest.
         s, f_pa, f_t = pa_cfg.power_factors()
-        with np.errstate(over="ignore"):
-            wave /= np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])) * s
-        bpf_sos = dsp.design_butterworth(pa_cfg.bpf, fs)
-        # Clipped and filtered in place: y is the drive's own buffer, so the
-        # drive's PSD is taken between the two.
-        v = pa_mod.clip(wave, pa_cfg.ibo / s)
+        rms = _held(held, "rms", lambda: np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])))
+        bpf_sos = _bandpass(pa_cfg.bpf, fs)
+        # x_p at unit RMS (so v_sat is ibo), divided by s, clipped and filtered
+        # in place: y is the drive's own buffer, so the drive's PSD is taken
+        # between the two. Below s ~ 1e-308 peaks overflow to inf, which the
+        # clip takes to ibo / s like the rest.
+        v = pa_mod.clip(wave, pa_cfg.ibo / s, rms * s)
         drive_psd = _clipped_drive_psd(v, sys_cfg, pa_cfg.ibo)
-        y = pa_mod.bandpass_reconstruct(v, bpf_sos)
-        mean_square = pa_mod.transmit_power(y, sys_cfg.window)
-        p_pa = f_pa * pa_mod.pa_power(y, sys_cfg.window)
+        y, sums = pa_mod.bandpass_reconstruct(v, bpf_sos, sys_cfg.window)
+        n_window = sys_cfg.window.stop - sys_cfg.window.start
+        mean_square = pa_mod.transmit_power(sums, n_window)
+        p_pa = f_pa * pa_mod.pa_power(sums, n_window)
         p_t = f_t * mean_square
 
     with _stage("channel"):

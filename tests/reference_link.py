@@ -24,7 +24,7 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 RAIL = 1.0 / np.sqrt(2.0)
 
 
-def _one_bit(x):
+def one_bit(x):
     """The converters' rule: RAIL times the sign of each rail, sign(0) := +1.
 
     The RRC's zero crossings, which np.convolve leaves as +-3e-17, are 0: a
@@ -53,7 +53,7 @@ def transmit(sys_cfg, pa_cfg):
         up[::sys_cfg.adc_sps] = x
         x = _rrc(up, dsp.design_rrc(sys_cfg.rrc))
     if sys_cfg.one_bit:
-        x = _one_bit(x)
+        x = one_bit(x)
     held = np.repeat(x, n_frame // len(x))
     baseband = sig.sosfilt(dsp.design_butterworth(sys_cfg.lpf, fs), held)
     drive = (baseband * np.exp(2j * np.pi * fc * np.arange(n_frame) / fs)).real
@@ -91,23 +91,35 @@ def near_zero(r):
 def detect(sys_cfg, symbols, r, flip=()):
     """(lag, mi) from the ADC input r: the 1-bit ADC, if the variant has one,
     with the rails `flip` (near_zero's indices) decided the other way; the
-    matched filter; align_loop over the trimmed lag window; the MI."""
+    matched filter; align_loop over the trimmed lag window; the MI. It is
+    (None, None) where the lag search peaks on the window's last lag, since
+    the delay may lie past the window there (dsp.align raises)."""
     if sys_cfg.one_bit:
-        r = _one_bit(r)
+        r = one_bit(r)
         r.view(np.float64)[np.asarray(flip, dtype=int)] *= -1.0
     rx = _rrc(r, dsp.design_rrc(sys_cfg.rrc))
-    lag, _, tx_kept, rx_kept = align_loop(symbols, rx, sys_cfg.rrc.span, sys_cfg.adc_sps)
+    trim, stride = sys_cfg.rrc.span, sys_cfg.adc_sps
+    if lag_metric(symbols, rx, trim, stride).argmax() == trim * stride:
+        return None, None
+    lag, _, tx_kept, rx_kept = align_loop(symbols, rx, trim, stride)
     return lag, metrics.mutual_information(tx_kept, rx_kept, sys_cfg.mi_bins)
 
 
-def align_loop(tx, rx_soft, trim, stride):
-    """dsp.align's lag search one np.vdot per lag, without its warning or its
-    last-lag check: (lag, c, tx_kept, rx_kept)."""
+def lag_metric(tx, rx_soft, trim, stride):
+    """|<tx, rx_soft[lag::stride]>| per pair at each lag in [0, trim * stride],
+    one np.vdot per lag; -1 at a lag with no pair."""
     metric = np.full(trim * stride + 1, -1.0)
     for lag in range(len(metric)):
         r = rx_soft[lag::stride][:len(tx)]
         if len(r):
             metric[lag] = np.abs(np.vdot(tx[:len(r)], r)) / len(r)
+    return metric
+
+
+def align_loop(tx, rx_soft, trim, stride):
+    """dsp.align's lag search over lag_metric, without its warning or its
+    last-lag check: (lag, c, tx_kept, rx_kept)."""
+    metric = lag_metric(tx, rx_soft, trim, stride)
     lag = int(np.flatnonzero(metric >= 0.99 * metric.max()).min())
     r = rx_soft[lag::stride][:len(tx)]
     t = tx[:len(r)]

@@ -152,7 +152,7 @@ def test_criterion_7_property_suite(sys2_grid, wide_column, three_system_row,
     # clipper output never exceeds the saturation level
     rng = np.random.default_rng(0)
     x = 5.0 * rng.standard_normal(20000)
-    if float(np.max(np.abs(pa.clip(x, 0.3)))) > 0.3:
+    if float(np.max(np.abs(pa.clip(x, 0.3, 1.0)))) > 0.3:
         failures.append("clip bound violated")
 
     # transmit power never exceeds the first-harmonic bound, on every

@@ -541,20 +541,24 @@ class TestBadInput:
         assert "configuration error" in err and "cutoff_low < cutoff_high" in err
         assert not (tmp_path / "o").exists()
 
-    def test_configuration_error_mid_run_exits_1(self, tmp_path, monkeypatch, capsys):
+    def test_configuration_error_mid_run_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                 clear_run_caches):
         # Only the design finds an unstable bandpass; run_link passes its
-        # ConfigurationError through, and no run.csv is written.
+        # ConfigurationError through, and the output directory is not created.
+        # The caches are cleared first, so the bandpass is designed, not read
+        # from the design cache.
         def unstable_bandpass(spec, fs, _fn=dsp.design_butterworth):
             if spec.cutoff_low is not None:
                 raise ConfigurationError("unstable butterworth design: synthetic")
             return _fn(spec, fs)
 
         monkeypatch.setattr(dsp, "design_butterworth", unstable_bandpass)
+        clear_run_caches()
         cfg = _write_cfg(tmp_path, FAST_CFG)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "unstable butterworth design: synthetic" in err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestAmam:

@@ -11,6 +11,7 @@ import os
 
 import onebitlink
 from onebitlink import config, dsp, pipeline
+from onebitlink.channel import ChannelConfig
 from onebitlink.pa import PaConfig
 
 PACKAGE = os.path.dirname(os.path.abspath(onebitlink.__file__))
@@ -105,11 +106,19 @@ def test_settable_values_are_the_counted_ones():
     assert _keyword_defaults() == {"cli.main": 1, "optimizer.grid_search": 2}
 
 
-def test_run_caches_are_the_counted_ones():
+def test_run_caches_are_the_counted_ones(clear_run_caches):
     # The caches run_link keeps between runs, which conftest's clear_run_caches
     # empties: each function in pipeline with a cache_clear, plus the clipped
     # drive's PSD dict. A change that adds or removes one edits this list and
     # says so in CHANGES.md.
     cached = sorted(name for name, obj in vars(pipeline).items() if hasattr(obj, "cache_clear"))
-    assert cached == ["_front_end", "_receiver_noise"]
+    assert cached == ["_bandpass", "_front_end", "_receiver_noise", "_transmit_input"]
     assert isinstance(pipeline._drive_psd, dict)
+    sys_cfg = pipeline.SystemConfig(n_symbols=500)
+    pipeline.run_link(sys_cfg, PaConfig(bpf=pipeline.bpf_spec_for(0.9, sys_cfg, 4)),
+                      ChannelConfig())
+    assert all(getattr(pipeline, name).cache_info().currsize for name in cached)
+    assert pipeline._drive_psd
+    clear_run_caches()
+    assert [getattr(pipeline, name).cache_info().currsize for name in cached] == [0] * 4
+    assert not pipeline._drive_psd

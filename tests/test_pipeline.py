@@ -314,8 +314,9 @@ class TestRunLink:
 
     def test_a_cache_hit_designs_no_lowpass(self, monkeypatch, clear_run_caches):
         # Both ends use the cached lowpass, and the noise root is cached with
-        # it: a new seed designs only the bandpass and computes no root, a new
-        # frame length designs the lowpass once and computes the root once.
+        # it: a new seed designs no filter and computes no root, a new frame
+        # length designs the lowpass once and computes the root once. The
+        # bandpass is cached by its spec and rate: a new width designs it once.
         designed, roots = [], []
 
         def counted(spec, fs, _fn=dsp.design_butterworth):
@@ -329,13 +330,14 @@ class TestRunLink:
         monkeypatch.setattr(dsp, "design_butterworth", counted)
         monkeypatch.setattr(dsp, "receive_noise_root", counted_root)
         clear_run_caches()
-        for n_symbols, seed, expected, n_roots in (
-                (500, 1, ["lowpass", "bandpass"], 1), (500, 1, ["bandpass"], 0),
-                (500, 2, ["bandpass"], 0), (600, 2, ["lowpass", "bandpass"], 1)):
+        for n_symbols, seed, bbpf, expected, n_roots in (
+                (500, 1, 0.9, ["lowpass", "bandpass"], 1), (500, 1, 0.9, [], 0),
+                (500, 2, 0.9, [], 0), (600, 2, 0.9, ["lowpass"], 1),
+                (600, 2, 0.8, ["bandpass"], 0), (600, 2, 0.9, [], 0)):
             designed.clear()
             roots.clear()
-            run_link(*_configs(n_symbols=n_symbols, seed=seed))
-            assert (designed, len(roots)) == (expected, n_roots), (n_symbols, seed)
+            run_link(*_configs(n_symbols=n_symbols, seed=seed, bbpf=bbpf))
+            assert (designed, len(roots)) == (expected, n_roots), (n_symbols, seed, bbpf)
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
     def test_cached_drive_psd_follows_every_input(self, clear_run_caches):
@@ -361,6 +363,96 @@ class TestRunLink:
             clear_run_caches()
             cold = run_link(sys_cfg, pa_cfg, ChannelConfig())
             assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
+
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_cached_transmit_input_follows_every_input(self, clear_run_caches):
+        # Each config changes one SystemConfig field from its predecessor. A
+        # cache key that misses one returns the previous config's symbols,
+        # taps, DAC input or drive RMS, and the warm run differs from the cold.
+        # The shaped sys1 first, whose drive the taps shape.
+        changes = [
+            {}, dict(seed=2), dict(n_symbols=600), dict(analog_sps=64), dict(fc_multiple=20.0),
+            dict(rrc=RrcSpec(roll_off=0.3)), dict(rrc=RrcSpec(roll_off=0.3, samples_per_symbol=8)),
+            dict(lpf=ButterworthSpec(order=5)), dict(variant="sys2"), dict(variant="sys3"),
+            dict(variant="sys1"),
+        ]
+        kwargs = dict(variant="sys1", n_symbols=500)
+        for change in changes:
+            kwargs.update(change)
+            sys_cfg = SystemConfig(**kwargs)
+            pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
+            warm = run_link(sys_cfg, pa_cfg, ChannelConfig())
+            clear_run_caches()
+            cold = run_link(sys_cfg, pa_cfg, ChannelConfig())
+            assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
+
+    def test_transmit_input_cache_holds_one_read_only_entry(self):
+        for variant, seed in (("sys1", 1), ("sys2", 1), ("sys2", 2), ("sys1", 1)):
+            sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=500, seed=seed)
+            run_link(sys_cfg, pa_cfg, ch_cfg)
+            assert pipeline._transmit_input.cache_info().currsize == 1
+        held = pipeline._transmit_input(sys_cfg)
+        assert sorted(held) == ["dac_in", "rms", "taps", "tx"]
+        assert held["tx"].shape == (500,) and held["dac_in"].shape == (500 * sys_cfg.adc_sps,)
+        for key in ("tx", "taps", "dac_in"):
+            with pytest.raises(ValueError):
+                held[key][0] = 0
+
+    def test_a_warm_point_draws_shapes_and_scales_nothing(self, monkeypatch, clear_run_caches):
+        # Every point of a system shares its symbols, taps, DAC input and drive
+        # RMS: a second back-off and width draws no symbol, designs no RRC and
+        # takes no RMS, and still quantizes and upconverts its own drive.
+        calls = []
+        for owner, name in ((pipeline, "draw_symbols"), (dsp, "design_rrc"),
+                            (dsp, "fir_filter"), (pa, "mean_of"), (dsp, "upconvert")):
+            def counted(*args, _fn=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        clear_run_caches()
+        run_link(*_configs(n_symbols=500))
+        assert sorted(calls) == ["design_rrc", "draw_symbols", "fir_filter", "fir_filter",
+                                 "mean_of", "upconvert"]
+        calls.clear()
+        run_link(*_configs(n_symbols=500, ibo=1.0, bbpf=1.3))
+        assert sorted(calls) == ["fir_filter", "upconvert"]  # the matched filter
+
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_cached_bandpass_follows_every_input(self, clear_run_caches):
+        # Each point changes the bandpass order, width or sample rate from its
+        # predecessor; a cache key that misses one filters with the previous
+        # design, and the warm run differs from the cold one.
+        sys_cfg = SystemConfig(variant="sys1", n_symbols=500)
+        fast = dataclasses.replace(sys_cfg, analog_sps=64)
+        points = [(sys_cfg, 0.9, 4), (sys_cfg, 0.9, 6), (sys_cfg, 1.3, 6), (fast, 1.3, 6),
+                  (fast, 1.3, 4), (sys_cfg, 1.3, 4)]
+        for sys_cfg, bbpf, order in points:
+            pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(bbpf, sys_cfg, order))
+            warm = run_link(sys_cfg, pa_cfg, ChannelConfig())
+            clear_run_caches()
+            cold = run_link(sys_cfg, pa_cfg, ChannelConfig())
+            assert dataclasses.asdict(warm) == dataclasses.asdict(cold), (bbpf, order)
+
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_no_stage_writes_to_a_cached_bandpass(self, clear_run_caches):
+        # scipy's sosfilt takes only writable sections, so the cached designs
+        # stay writable; after a row of points each still has its design's bits.
+        clear_run_caches()
+        sys_cfg = SystemConfig(n_symbols=500)
+        for ibo in (0.1, 1.0):
+            for bbpf in (0.5, 0.9, 1.3):
+                run_link(sys_cfg, PaConfig(ibo=ibo, bpf=bpf_spec_for(bbpf, sys_cfg, 4)),
+                         ChannelConfig())
+        assert pipeline._bandpass.cache_info().currsize == 3
+        for bbpf in (0.5, 0.9, 1.3):
+            spec = bpf_spec_for(bbpf, sys_cfg, 4)
+            cached = pipeline._bandpass(spec, sys_cfg.fs())
+            assert cached.flags.writeable
+            assert np.array_equal(cached, dsp.design_butterworth(spec, sys_cfg.fs()))
+
+    def test_bandpass_cache_holds_every_default_width(self):
+        assert pipeline._bandpass.cache_info().maxsize >= 17
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
     def test_width_or_load_alone_takes_no_new_psd(self, monkeypatch):
@@ -424,15 +516,18 @@ class TestRunLink:
         assert err.value.stage == "pa"
         assert "pa" in str(err.value)
 
-    def test_configuration_error_mid_run_is_not_a_stage_error(self, monkeypatch):
+    def test_configuration_error_mid_run_is_not_a_stage_error(self, monkeypatch,
+                                                              clear_run_caches):
         # A setting found bad only by the design (an unstable bandpass) stays a
-        # ConfigurationError, so the CLI exits 1 for it, not 2.
+        # ConfigurationError, so the CLI exits 1 for it, not 2. The caches are
+        # cleared first, so the bandpass is designed, not read from its cache.
         def unstable_bandpass(spec, fs, _fn=dsp.design_butterworth):
             if spec.cutoff_low is not None:
                 raise ConfigurationError("unstable butterworth design: synthetic")
             return _fn(spec, fs)
 
         monkeypatch.setattr(dsp, "design_butterworth", unstable_bandpass)
+        clear_run_caches()
         with pytest.raises(ConfigurationError, match="synthetic"):
             run_link(*_configs(n_symbols=500))
 
@@ -529,9 +624,9 @@ def _point_with_output(variant, bbpf, monkeypatch):
     was read from, the amplifier output y and the configs."""
     seen = {}
 
-    def kept_output(v, sos, _fn=pa.bandpass_reconstruct):
-        seen["y"] = _fn(v, sos)
-        return seen["y"]
+    def kept_output(v, sos, window, _fn=pa.bandpass_reconstruct):
+        seen["y"], sums = _fn(v, sos, window)
+        return seen["y"], sums
 
     def kept_psd(psd, fc, _fn=metrics.occupied_bandwidth):
         seen["psd"] = psd
