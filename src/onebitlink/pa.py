@@ -5,11 +5,11 @@ by a bandpass reconstruction filter. Battery draw is computed from the load
 current i_L = y_p / r_load as v_sat * mean|i_L|, transmit power as mean(i_L * y_p).
 The chain runs the amplifier on y = y_p / min(ibo, 1), of order 1 at every
 back-off, so the back-off's size and r_load enter only PaConfig.power_factors.
-The stage makes two passes over its frame, both in place: clip divides the
-drive by its scale and clips it a block at a time, and bandpass_reconstruct
-filters it a block at a time and sums |y| and y^2 of each block while the
-block is in cache. pa_power and transmit_power then only add the block sums.
-So the stage holds one frame: the drive's buffer becomes y.
+The stage works on its frame in place: clip divides the drive by its scale
+and clips it, and bandpass_reconstruct filters it a block at a time and sums
+|y| and y^2 of each block while the block is in cache. pa_power and
+transmit_power then only add the block sums. So the stage holds one frame:
+the drive's buffer becomes y.
 """
 
 from dataclasses import dataclass
@@ -34,8 +34,8 @@ HARMONIC_BOUND = 4.0 / np.pi
 # width (pipeline.bpf_spec_for; orders 1-16, sys1-sys3, 600 symbols).
 POWER_FACTOR_RANGE = (1e-300, 1e300)
 
-# Samples per block of the clip, the bandpass and the power sums: a block and
-# its filtered copy stay in a core's cache while the block is summed.
+# Samples per block of the bandpass and the power sums: a block and its
+# filtered copy stay in a core's cache while the block is summed.
 _BLOCK = 2 ** 16
 
 
@@ -76,15 +76,13 @@ class PaConfig:
 
 def clip(x_p, v_sat, divisor):
     """Divide the float array x_p by divisor and hard-limit it to [-v_sat, +v_sat],
-    in place a _BLOCK at a time, and return it. A quotient that overflows is inf,
-    which the clip takes to +-v_sat like the rest."""
+    in place, and return it. A quotient that overflows is inf, which the clip
+    takes to +-v_sat like the rest."""
     if v_sat <= 0:
         raise ValueError(f"v_sat must be positive, got {v_sat}")
     with np.errstate(over="ignore"):
-        for start in range(0, len(x_p), _BLOCK):
-            block = x_p[start:start + _BLOCK]
-            block /= divisor
-            np.clip(block, -v_sat, v_sat, out=block)
+        x_p /= divisor
+        np.clip(x_p, -v_sat, v_sat, out=x_p)
     return x_p
 
 

@@ -138,48 +138,35 @@ def _stage(name):
         raise StageError(name, str(exc)) from exc
 
 
-@functools.lru_cache(maxsize=1)
-def _front_end(lpf, fs, step, k):
-    """The lowpass sections at fs, which both ends of the link use, and
-    dsp.receive_noise_root of them over k ADC samples, both read-only."""
-    sos = dsp.design_butterworth(lpf, fs)
-    root = dsp.receive_noise_root(sos, step, k)
-    sos.flags.writeable = root.flags.writeable = False
-    return sos, root
+# What run_link keeps between points, one entry a kind: kind -> (key, value).
+# Each key holds every input of its value, so a warm run gives a cold one's bits.
+_kept = {}
 
 
-@functools.lru_cache(maxsize=1)
-def _receiver_noise(seed, lpf, fs, step, k):
-    """Unit channel noise of k ADC samples after the receive front end, read-only.
+def _keep(kind, key, make):
+    """The value of kind kept under key, or else make()'s, kept in its place
+    with every array in it read-only. The old value is dropped before make()
+    runs, so the two are never held at once."""
+    if kind in _kept and _kept[kind][0] == key:
+        return _kept[kind][1]
+    _kept.pop(kind, None)
+    value = make()
+    parts = vars(value).values() if isinstance(value, metrics_mod.PsdEstimate) else (
+        value if isinstance(value, tuple) else (value,))
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    _kept[kind] = key, value
+    return value
 
-    It is drawn at the ADC rate by circulant embedding, fft(root * z) with z
-    from the second child of SeedSequence(seed); it is proper, so the carrier
-    does not enter. One entry serves a sweep: every point runs at its seed.
-    """
+
+def _receiver_noise(seed, root, k):
+    """Unit channel noise of k ADC samples after the receive front end whose
+    dsp.receive_noise_root is root. It is drawn at the ADC rate by circulant
+    embedding, fft(root * z) with z from the second child of
+    SeedSequence(seed); it is proper, so the carrier does not enter."""
     z = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]).standard_normal(4 * k)
-    noise = sp_fft.fft(_front_end(lpf, fs, step, k)[1] * z.view(np.complex128))[:k].copy()
-    noise.flags.writeable = False
-    return noise
-
-
-@functools.lru_cache(maxsize=1)
-def _transmit_input(sys_cfg):
-    """What every point of sys_cfg shares up to the amplifier, filled by
-    run_link's stages on its first point: the symbols ("tx"), the RRC taps
-    ("taps") and the DAC's input ("dac_in"), each read-only, and the RMS of
-    the drive over the measurement window ("rms"). One entry serves a sweep's
-    row after row of one system: every point runs at its seed."""
-    return {}
-
-
-def _held(store, key, make):
-    """store[key], made by make() on the first call; an array is made read-only."""
-    if key not in store:
-        value = make()
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        store[key] = value
-    return store[key]
+    return sp_fft.fft(root * z.view(np.complex128))[:k].copy()
 
 
 @functools.lru_cache(maxsize=32)
@@ -191,58 +178,43 @@ def _bandpass(spec, fs):
     return dsp.design_butterworth(spec, fs)
 
 
-# The clipped drive's PSD for the last (SystemConfig, ibo), read-only. The
-# drive does not depend on the bandpass, r_load or the channel, so every width
-# of a sweep row reads its b_pa from this one Welch estimate.
-_drive_psd = {}
-
-
-def _clipped_drive_psd(v, sys_cfg, ibo):
-    """Welch PSD of the clipped drive v over the measurement window, cached."""
-    key = (sys_cfg, ibo)
-    if key not in _drive_psd:
-        psd = metrics_mod.welch_psd(v[sys_cfg.window], sys_cfg.fs())
-        psd.freqs.flags.writeable = psd.values.flags.writeable = False
-        _drive_psd.clear()
-        _drive_psd[key] = psd
-    return _drive_psd[key]
-
-
 def run_link(sys_cfg, pa_cfg, ch_cfg):
     """Run the full chain once and return LinkMetrics.
 
     The configured seed feeds a SeedSequence whose two children drive the
-    symbol source and the channel noise, which the source stage draws at the
-    ADC rate (_receiver_noise, cached) from the noise root that _front_end
-    caches with both ends' lowpass, keyed by the k ADC samples of the frame.
-    The symbols, the RRC taps, the DAC's input and the drive's RMS depend on
-    sys_cfg alone and are made on its first point (_transmit_input, cached);
-    a later point converts, upconverts, scales and clips them anew. The
-    bandpass design is cached by its spec and rate (_bandpass). b_pa is read
-    from the bandpass's |H|^2 times the clipped drive's Welch PSD,
-    S_y = |H|^2 S_v, taken once per (SystemConfig, ibo) in the pa stage and
-    cached (_clipped_drive_psd). Identical configurations reproduce
-    bit-identical metrics. Each frame-length intermediate is freed after its
-    last use.
+    symbol source and the channel noise. Each stage keeps what later points
+    can reuse through _keep, one entry a kind, made inside the stage that
+    first needs it: by sys_cfg, the symbols ("tx"), the RRC taps ("taps"),
+    the DAC's input before the converter ("dac_in") and the drive's RMS over
+    the window ("rms"); by (lpf, fs, step, k), the lowpass both ends use and
+    the receiver noise's root ("front end"); by (seed, lpf, fs, step, k), the
+    noise at the ADC rate ("noise"); by (sys_cfg, ibo), the clipped drive's
+    Welch PSD ("drive psd"), from which b_pa is read as |H|^2 S_v for each
+    bandpass. The bandpass designs are cached by spec and rate (_bandpass).
+    A point still converts, upconverts, scales, clips and filters its own
+    drive. Identical configurations reproduce bit-identical metrics. Each
+    frame-length intermediate is freed after its last use.
     """
     fs = sys_cfg.fs()
     n_frame = sys_cfg.n_symbols * sys_cfg.analog_sps
     step = sys_cfg.analog_sps // sys_cfg.adc_sps
     k = sys_cfg.n_symbols * sys_cfg.adc_sps
-    held = _transmit_input(sys_cfg)
+    front_key = (sys_cfg.lpf, fs, step, k)
 
     with _stage("source"):
-        tx = _held(held, "tx", lambda: draw_symbols(sys_cfg.n_symbols, np.random.default_rng(
+        tx = _keep("tx", sys_cfg, lambda: draw_symbols(sys_cfg.n_symbols, np.random.default_rng(
             np.random.SeedSequence(sys_cfg.seed).spawn(2)[0])))
         # The lowpass both ends use, and the channel noise after the receive front
         # end, drawn before any frame-length buffer exists to keep the peak low.
-        lpf_sos = _front_end(sys_cfg.lpf, fs, step, k)[0]
-        noise = _receiver_noise(sys_cfg.seed, sys_cfg.lpf, fs, step, k)
+        lpf_sos, root = _keep("front end", front_key, lambda: (
+            sos := dsp.design_butterworth(sys_cfg.lpf, fs), dsp.receive_noise_root(sos, step, k)))
+        noise = _keep("noise", (sys_cfg.seed, *front_key),
+                      lambda: _receiver_noise(sys_cfg.seed, root, k))
 
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.
-        taps = _held(held, "taps", lambda: dsp.design_rrc(sys_cfg.rrc))
-        dac_in = _held(held, "dac_in", lambda: dsp.fir_filter(
+        taps = _keep("taps", sys_cfg, lambda: dsp.design_rrc(sys_cfg.rrc))
+        dac_in = _keep("dac_in", sys_cfg, lambda: dsp.fir_filter(
             dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps) if sys_cfg.shaped else tx)
 
     with _stage("dac"):
@@ -250,18 +222,21 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
             dac_in = quantizers.one_bit_quantize(dac_in)
         # The shaper's output sets the DAC rate; the hold fills the analog frame.
         wave = dsp.upconvert(dac_in, lpf_sos, n_frame // len(dac_in), sys_cfg.fc(), fs)
-        del dac_in  # a 1-bit DAC's converted copy; the held input stays cached
+        del dac_in  # a 1-bit DAC's converted copy; the kept input stays
 
     with _stage("pa"):
         s, f_pa, f_t = pa_cfg.power_factors()
-        rms = _held(held, "rms", lambda: np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])))
+        rms = _keep("rms", sys_cfg,
+                    lambda: np.sqrt(pa_mod.mean_of(np.square, wave[sys_cfg.window])))
         bpf_sos = _bandpass(pa_cfg.bpf, fs)
         # x_p at unit RMS (so v_sat is ibo), divided by s, clipped and filtered
         # in place: y is the drive's own buffer, so the drive's PSD is taken
         # between the two. Below s ~ 1e-308 peaks overflow to inf, which the
-        # clip takes to ibo / s like the rest.
+        # clip takes to ibo / s like the rest. The drive does not depend on the
+        # bandpass, r_load or the channel, so a sweep row shares its PSD.
         v = pa_mod.clip(wave, pa_cfg.ibo / s, rms * s)
-        drive_psd = _clipped_drive_psd(v, sys_cfg, pa_cfg.ibo)
+        drive_psd = _keep("drive psd", (sys_cfg, pa_cfg.ibo),
+                          lambda: metrics_mod.welch_psd(v[sys_cfg.window], fs))
         y, sums = pa_mod.bandpass_reconstruct(v, bpf_sos, sys_cfg.window)
         n_window = sys_cfg.window.stop - sys_cfg.window.start
         mean_square = pa_mod.transmit_power(sums, n_window)

@@ -1,8 +1,11 @@
+import importlib
 import os
+import pkgutil
 
 import pytest
 from hypothesis import settings
 
+import onebitlink
 from onebitlink import optimizer, pipeline
 
 # Property tests replay the same examples on every run and keep tier-1 fast.
@@ -11,16 +14,23 @@ settings.register_profile("tier1", derandomize=True, max_examples=200, deadline=
 settings.load_profile("tier1")
 
 
+def run_caches():
+    """Every object with a cache_clear in any onebitlink module, by "module.name"."""
+    modules = [importlib.import_module(f"onebitlink.{info.name}")
+               for info in pkgutil.iter_modules(onebitlink.__path__)]
+    return {f"{module.__name__}.{name}": obj for module in modules
+            for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
+
+
 @pytest.fixture
 def clear_run_caches():
     """clear_run_caches() empties every cache that run_link keeps between runs:
-    each object in pipeline with a cache_clear, and the clipped drive's PSD."""
+    each object in any onebitlink module with a cache_clear, and pipeline._kept."""
 
     def clear():
-        for obj in vars(pipeline).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-        pipeline._drive_psd.clear()
+        for cache in run_caches().values():
+            cache.cache_clear()
+        pipeline._kept.clear()
 
     return clear
 

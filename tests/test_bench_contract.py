@@ -45,10 +45,10 @@ def test_traced_stages_are_the_ones_that_run(monkeypatch, clear_run_caches):
     # Every traced name below the dispatchers gets a call in one short run_link
     # per variant, except three that stay callable and traced: zoh_hold and
     # iir_filter, kept only for perfbench (the pa bandpass calls sosfilt block
-    # by block itself); and add_awgn, since run_link adds the noise that
-    # _receiver_noise draws at the ADC rate after the receive front end. The
-    # caches are cleared first, so the front end (the lowpass design and the
-    # noise root), the noise draw and the clipped drive's welch_psd (in the pa
+    # by block itself); and add_awgn, since run_link draws its noise at the
+    # ADC rate after the receive front end and adds it there. The run caches
+    # are cleared first, so the front end (the lowpass design and the noise
+    # root), the noise draw and the clipped drive's welch_psd (in the pa
     # stage on a miss) run whatever ran before.
     clear_run_caches()
     calls = {}
