@@ -117,6 +117,8 @@ def test_run_caches_are_the_counted_ones(clear_run_caches):
     sys_cfg = pipeline.SystemConfig(n_symbols=500)
     pipeline.run_link(sys_cfg, PaConfig(bpf=pipeline.bpf_spec_for(0.9, sys_cfg, 4)),
                       ChannelConfig())
-    assert pipeline._bandpass.cache_info().currsize and pipeline._kept
+    assert pipeline._bandpass.cache_info().currsize
+    assert sorted(pipeline._kept) == ["dac_in", "drive psd", "front end", "noise", "rms", "taps",
+                                      "tx"]
     clear_run_caches()
     assert pipeline._bandpass.cache_info().currsize == 0 and not pipeline._kept

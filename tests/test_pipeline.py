@@ -24,6 +24,14 @@ def _configs(variant="sys2", n_symbols=10000, seed=1, bbpf=0.9, ibo=0.1):
     return sys_cfg, pa_cfg, ChannelConfig()
 
 
+def _assert_warm_run_is_cold(clear_run_caches, label, sys_cfg, pa_cfg, ch_cfg=ChannelConfig()):
+    """A run after other points gives the bits of the same run after clear_run_caches()."""
+    warm = run_link(sys_cfg, pa_cfg, ch_cfg)
+    clear_run_caches()
+    cold = run_link(sys_cfg, pa_cfg, ch_cfg)
+    assert dataclasses.asdict(warm) == dataclasses.asdict(cold), label
+
+
 def test_alphabet():
     assert len(QPSK_ALPHABET) == 4
     np.testing.assert_allclose(np.abs(QPSK_ALPHABET), 1.0, rtol=1e-15)
@@ -270,64 +278,44 @@ class TestRunLink:
                 f"{variant} at {n_symbols} symbols: peak {peak / complex_frame:.2f} complex frames")
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
-    def test_kept_values_follow_every_input(self, clear_run_caches):
-        # Each point changes one input of what run_link keeps from its
-        # predecessor: a SystemConfig field, the back-off, or the bandpass's
-        # order, width or sample rate. A key that misses one returns the
-        # previous point's symbols, taps, DAC input, drive RMS, front end,
-        # noise, drive PSD or bandpass design, and the warm run differs from
-        # the cold one. The channel is noise-dominated, so any noise change shows.
+    def test_cached_receiver_noise_follows_every_input(self, clear_run_caches):
+        # Each config changes one input of the receiver noise or its front end
+        # from its predecessor, so a key that misses one returns the previous
+        # config's noise and the warm run differs from the cold one.
         changes = [
             {}, dict(seed=2), dict(n_symbols=600), dict(analog_sps=64),
             dict(lpf=ButterworthSpec(order=5)), dict(lpf=ButterworthSpec(order=5, cutoff_high=1.2)),
-            dict(fc_multiple=20.0), dict(rrc=RrcSpec(roll_off=0.3)),
-            dict(rrc=RrcSpec(roll_off=0.3, samples_per_symbol=8)),
+            dict(fc_multiple=20.0), dict(rrc=RrcSpec(samples_per_symbol=8)),
             # only the sample rate: the frame length and the decimation step stay
-            dict(analog_sps=128, n_symbols=300, rrc=RrcSpec(roll_off=0.3, samples_per_symbol=16)),
+            dict(analog_sps=128, n_symbols=300, rrc=RrcSpec(samples_per_symbol=16)),
             # only the decimation step: the sample rate and the ADC samples stay
-            dict(n_symbols=600, rrc=RrcSpec(roll_off=0.3, samples_per_symbol=8)),
-            dict(variant="sys2"), dict(variant="sys3"), dict(variant="sys1"),
-            dict(ibo=1.0), dict(order=6), dict(bbpf=1.3),
-            # only the bandpass's sample rate: its spec stays
-            dict(analog_sps=64), dict(order=4), dict(analog_sps=128),
+            dict(n_symbols=600, rrc=RrcSpec(samples_per_symbol=8)),
         ]
-        kwargs = dict(variant="sys1", n_symbols=500, ibo=0.1, bbpf=0.9, order=4)
-        ch_cfg = ChannelConfig(sinr_db=0.0)
+        kwargs = dict(variant="sys1", n_symbols=500)
+        ch_cfg = ChannelConfig(sinr_db=0.0)  # noise-dominated, so any noise change shows
         for change in changes:
             kwargs.update(change)
-            ibo, bbpf, order = (kwargs[name] for name in ("ibo", "bbpf", "order"))
-            sys_cfg = SystemConfig(**{name: value for name, value in kwargs.items()
-                                      if name not in ("ibo", "bbpf", "order")})
-            pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(bbpf, sys_cfg, order))
-            warm = run_link(sys_cfg, pa_cfg, ch_cfg)
-            clear_run_caches()
-            cold = run_link(sys_cfg, pa_cfg, ch_cfg)
-            assert dataclasses.asdict(warm) == dataclasses.asdict(cold), change
+            sys_cfg = SystemConfig(**kwargs)
+            pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
+            _assert_warm_run_is_cold(clear_run_caches, change, sys_cfg, pa_cfg, ch_cfg)
 
-    def test_each_kind_keeps_one_read_only_entry(self, clear_run_caches):
-        # One entry a kind, under the last point's keys, whatever ran before;
-        # the kinds are the counted ones, and every kept array is read-only.
-        clear_run_caches()
-        for variant, seed, n_symbols, ibo in (("sys1", 1, 500, 0.1), ("sys2", 1, 500, 0.1),
-                                              ("sys2", 2, 500, 1.0), ("sys3", 3, 600, 0.1),
-                                              ("sys1", 1, 500, 0.1)):
-            sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=n_symbols, seed=seed,
-                                               ibo=ibo)
+    def test_receiver_noise_cache_holds_one_entry(self):
+        # The noise by seed and frame, and the front end (lowpass and noise
+        # root) by frame alone: one entry each, under the last point's key.
+        for seed, n_symbols in ((1, 500), (2, 500), (3, 600), (1, 500)):
+            sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=n_symbols, seed=seed)
             run_link(sys_cfg, pa_cfg, ch_cfg)
         step = sys_cfg.analog_sps // sys_cfg.adc_sps
         k = sys_cfg.n_symbols * sys_cfg.adc_sps
         front = (sys_cfg.lpf, sys_cfg.fs(), step, k)
-        assert {kind: key for kind, (key, _) in pipeline._kept.items()} == {
-            "tx": sys_cfg, "front end": front, "noise": (sys_cfg.seed, *front),
-            "taps": sys_cfg, "dac_in": sys_cfg, "rms": sys_cfg, "drive psd": (sys_cfg, 0.1)}
-        kept = {kind: value for kind, (_, value) in pipeline._kept.items()}
-        assert kept["tx"].shape == (500,) and kept["dac_in"].shape == (k,)
-        assert kept["noise"].shape == (k,) and kept["front end"][1].shape == (2 * k,)
-        psd = kept["drive psd"]
-        for array in (kept["tx"], kept["taps"], kept["dac_in"], kept["noise"],
-                      *kept["front end"], psd.freqs, psd.values):
+        assert pipeline._kept["front end"][0] == front
+        assert pipeline._kept["noise"][0] == (sys_cfg.seed, *front)
+        noise = pipeline._kept["noise"][1]
+        sos, root = pipeline._kept["front end"][1]
+        assert noise.shape == (k,) and root.shape == (2 * k,)
+        for cached in (noise, sos, root):
             with pytest.raises(ValueError):
-                array[0] = 0
+                cached[0] = 0
 
     def test_a_new_key_drops_the_old_value_before_making_the_new(self, monkeypatch,
                                                                   clear_run_caches):
@@ -385,6 +373,59 @@ class TestRunLink:
             run_link(*_configs(n_symbols=n_symbols, seed=seed, bbpf=bbpf))
             assert (designed, len(roots)) == (expected, n_roots), (n_symbols, seed, bbpf)
 
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_cached_drive_psd_follows_every_input(self, clear_run_caches):
+        # Each config changes one input of the clipped drive from its
+        # predecessor: a SystemConfig field, then the back-off. A key that
+        # misses one returns the previous drive's PSD, and the warm run's b_pa
+        # differs from the cold one's.
+        changes = [
+            {}, dict(seed=2), dict(variant="sys2"), dict(n_symbols=600), dict(analog_sps=64),
+            dict(lpf=ButterworthSpec(order=5)), dict(fc_multiple=20.0),
+            dict(rrc=RrcSpec(samples_per_symbol=8)),
+            dict(rrc=RrcSpec(samples_per_symbol=8, roll_off=0.3)),
+        ]
+        kwargs = dict(variant="sys1", n_symbols=500)
+        points = []
+        for change in changes:
+            kwargs.update(change)
+            points.append((change, SystemConfig(**kwargs), 0.1))
+        points.append((dict(ibo=1.0), points[-1][1], 1.0))
+        for change, sys_cfg, ibo in points:
+            pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(0.9, sys_cfg, 4))
+            _assert_warm_run_is_cold(clear_run_caches, change, sys_cfg, pa_cfg)
+
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_cached_transmit_input_follows_every_input(self, clear_run_caches):
+        # Each config changes one SystemConfig field from its predecessor. A
+        # key that misses one returns the previous config's symbols, taps, DAC
+        # input or drive RMS, and the warm run differs from the cold one.
+        # The shaped sys1 first, whose drive the taps shape.
+        changes = [
+            {}, dict(seed=2), dict(n_symbols=600), dict(analog_sps=64), dict(fc_multiple=20.0),
+            dict(rrc=RrcSpec(roll_off=0.3)), dict(rrc=RrcSpec(roll_off=0.3, samples_per_symbol=8)),
+            dict(lpf=ButterworthSpec(order=5)), dict(variant="sys2"), dict(variant="sys3"),
+            dict(variant="sys1"),
+        ]
+        kwargs = dict(variant="sys1", n_symbols=500)
+        for change in changes:
+            kwargs.update(change)
+            sys_cfg = SystemConfig(**kwargs)
+            pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(0.9, sys_cfg, 4))
+            _assert_warm_run_is_cold(clear_run_caches, change, sys_cfg, pa_cfg)
+
+    def test_transmit_input_cache_holds_one_read_only_entry(self):
+        # The symbols, taps, DAC input and drive RMS by the last SystemConfig.
+        for variant, seed in (("sys1", 1), ("sys2", 1), ("sys2", 2), ("sys3", 3), ("sys1", 1)):
+            sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, n_symbols=500, seed=seed)
+            run_link(sys_cfg, pa_cfg, ch_cfg)
+        assert all(pipeline._kept[kind][0] == sys_cfg for kind in ("tx", "taps", "dac_in", "rms"))
+        held = {kind: pipeline._kept[kind][1] for kind in ("tx", "taps", "dac_in")}
+        assert held["tx"].shape == (500,) and held["dac_in"].shape == (500 * sys_cfg.adc_sps,)
+        for cached in held.values():
+            with pytest.raises(ValueError):
+                cached[0] = 0
+
     def test_a_warm_point_draws_shapes_and_scales_nothing(self, monkeypatch, clear_run_caches):
         # Every point of a system shares its symbols, taps, DAC input and drive
         # RMS: a second back-off and width draws no symbol, designs no RRC and
@@ -404,6 +445,19 @@ class TestRunLink:
         calls.clear()
         run_link(*_configs(n_symbols=500, ibo=1.0, bbpf=1.3))
         assert sorted(calls) == ["fir_filter", "upconvert"]  # the matched filter
+
+    @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
+    def test_cached_bandpass_follows_every_input(self, clear_run_caches):
+        # Each point changes the bandpass order, width or sample rate from its
+        # predecessor; a cache key that misses one filters with the previous
+        # design, and the warm run differs from the cold one.
+        sys_cfg = SystemConfig(variant="sys1", n_symbols=500)
+        fast = dataclasses.replace(sys_cfg, analog_sps=64)
+        points = [(sys_cfg, 0.9, 4), (sys_cfg, 0.9, 6), (sys_cfg, 1.3, 6), (fast, 1.3, 6),
+                  (fast, 1.3, 4), (sys_cfg, 1.3, 4)]
+        for sys_cfg, bbpf, order in points:
+            pa_cfg = PaConfig(ibo=0.1, bpf=bpf_spec_for(bbpf, sys_cfg, order))
+            _assert_warm_run_is_cold(clear_run_caches, (bbpf, order), sys_cfg, pa_cfg)
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
     def test_no_stage_writes_to_a_cached_bandpass(self, clear_run_caches):
@@ -442,6 +496,17 @@ class TestRunLink:
         assert calls == []
         run_link(sys_cfg, dataclasses.replace(pa_cfg, ibo=1.0), ch_cfg)
         assert len(calls) == 1
+
+    def test_drive_psd_cache_holds_one_read_only_entry(self):
+        # The clipped drive's PSD by SystemConfig and back-off.
+        for seed, ibo in ((1, 0.1), (2, 0.1), (2, 1.0), (1, 0.1)):
+            sys_cfg, pa_cfg, ch_cfg = _configs(n_symbols=500, seed=seed, ibo=ibo)
+            run_link(sys_cfg, pa_cfg, ch_cfg)
+        key, psd = pipeline._kept["drive psd"]
+        assert key == (sys_cfg, 0.1)
+        for cached in (psd.freqs, psd.values):
+            with pytest.raises(ValueError):
+                cached[0] = 0
 
     def test_run_link_is_its_eight_stages(self, monkeypatch):
         names = []
