@@ -15,6 +15,7 @@ quote it next to the estimate.
 """
 
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,8 +31,7 @@ PSD_SEGMENT_SYMBOLS = 32
 _PSD_BLOCK_SAMPLES = 2 ** 18
 
 
-@dataclass(frozen=True)
-class PsdEstimate:
+class PsdEstimate(NamedTuple):
     """One-sided power spectral density: frequency grid, density values, total power."""
 
     freqs: np.ndarray

@@ -6,10 +6,9 @@ current i_L = y_p / r_load as v_sat * mean|i_L|, transmit power as mean(i_L * y_
 The chain runs the amplifier on y = y_p / min(ibo, 1), of order 1 at every
 back-off, so the back-off's size and r_load enter only PaConfig.power_factors.
 The stage works on its frame in place: clip divides the drive by its scale
-and clips it, and bandpass_reconstruct filters it a block at a time and sums
-|y| and y^2 of each block while the block is in cache. pa_power and
-transmit_power then only add the block sums. So the stage holds one frame:
-the drive's buffer becomes y.
+and clips it, and bandpass_reconstruct filters it a block at a time. So the
+stage holds one frame: the drive's buffer becomes y. pa_power and
+transmit_power are blocked means of the y they are given (mean_of).
 """
 
 from dataclasses import dataclass
@@ -34,8 +33,8 @@ HARMONIC_BOUND = 4.0 / np.pi
 # width (pipeline.bpf_spec_for; orders 1-16, sys1-sys3, 600 symbols).
 POWER_FACTOR_RANGE = (1e-300, 1e300)
 
-# Samples per block of the bandpass and the power sums: a block and its
-# filtered copy stay in a core's cache while the block is summed.
+# Samples per block of the bandpass and of mean_of: a block and its filtered
+# copy, or its |y| or y^2, stay in a core's cache.
 _BLOCK = 2 ** 16
 
 
@@ -86,31 +85,18 @@ def clip(x_p, v_sat, divisor):
     return x_p
 
 
-def bandpass_reconstruct(v_t, sos, window):
-    """Bandpass-filter the float array v_t in place into y; return y (v_t
-    itself) and the sums of |y| and y^2 over each _BLOCK of y[window], a row
-    per block.
+def bandpass_reconstruct(v_t, sos):
+    """Bandpass-filter the float array v_t in place and return it as y.
 
-    sos are second-order sections from design_butterworth. The blocks are
-    cut at the window's edges, and the sections' state carries from block to
-    block, so y has the bits of one scipy.signal.sosfilt call on the whole
-    waveform. Inside the window the blocks are mean_of's on y[window], so
-    pa_power and transmit_power keep its bits.
+    sos are second-order sections from design_butterworth. The frame is
+    filtered a _BLOCK at a time with the sections' state carried from block
+    to block, so y has the bits of one scipy.signal.sosfilt call on it.
     """
-    start, stop, _ = window.indices(len(v_t))
-    edges = [0, *range(start, stop, _BLOCK), stop, len(v_t)]
-    sums = np.empty((len(edges) - 3, 2))
     state = np.zeros((len(sos), 2))
-    for lo, hi in zip(edges, edges[1:]):
-        if hi == lo:
-            continue
-        block = v_t[lo:hi]
+    for i in range(0, len(v_t), _BLOCK):
+        block = v_t[i:i + _BLOCK]
         block[:], state = sig.sosfilt(sos, block, zi=state)
-        if start <= lo < stop:
-            row = sums[(lo - start) // _BLOCK]
-            row[0] = np.add.reduce(np.abs(block))
-            row[1] = np.add.reduce(np.square(block))
-    return v_t, sums
+    return v_t
 
 
 def mean_of(fn, x):
@@ -118,16 +104,14 @@ def mean_of(fn, x):
     return sum(np.add.reduce(fn(x[i:i + _BLOCK])) for i in range(0, len(x), _BLOCK)) / len(x)
 
 
-def pa_power(sums, n):
-    """mean|y| over a window of n samples, from bandpass_reconstruct's block sums;
-    p_pa is f_pa times it (PaConfig.power_factors)."""
-    return sum(sums[:, 0]) / n
+def pa_power(y):
+    """mean|y|; p_pa is f_pa times it (PaConfig.power_factors)."""
+    return mean_of(np.abs, y)
 
 
-def transmit_power(sums, n):
-    """mean(y^2) over a window of n samples, from bandpass_reconstruct's block sums;
-    p_t is f_t times it (PaConfig.power_factors)."""
-    return sum(sums[:, 1]) / n
+def transmit_power(y):
+    """mean(y^2); p_t is f_t times it (PaConfig.power_factors)."""
+    return mean_of(np.square, y)
 
 
 def am_am_curve(v_sat, amplitudes):

@@ -151,9 +151,7 @@ def _keep(kind, key, make):
         return _kept[kind][1]
     _kept.pop(kind, None)
     value = make()
-    parts = vars(value).values() if isinstance(value, metrics_mod.PsdEstimate) else (
-        value if isinstance(value, tuple) else (value,))
-    for part in parts:
+    for part in value if isinstance(value, tuple) else (value,):
         if isinstance(part, np.ndarray):
             part.flags.writeable = False
     _kept[kind] = key, value
@@ -237,10 +235,9 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         v = pa_mod.clip(wave, pa_cfg.ibo / s, rms * s)
         drive_psd = _keep("drive psd", (sys_cfg, pa_cfg.ibo),
                           lambda: metrics_mod.welch_psd(v[sys_cfg.window], fs))
-        y, sums = pa_mod.bandpass_reconstruct(v, bpf_sos, sys_cfg.window)
-        n_window = sys_cfg.window.stop - sys_cfg.window.start
-        mean_square = pa_mod.transmit_power(sums, n_window)
-        p_pa = f_pa * pa_mod.pa_power(sums, n_window)
+        y = pa_mod.bandpass_reconstruct(v, bpf_sos)
+        mean_square = pa_mod.transmit_power(y[sys_cfg.window])
+        p_pa = f_pa * pa_mod.pa_power(y[sys_cfg.window])
         p_t = f_t * mean_square
 
     with _stage("channel"):

@@ -18,9 +18,9 @@ from onebitlink.pipeline import (MAX_FRAME_SAMPLES, QPSK_ALPHABET, VARIANTS, Sys
                                  bpf_spec_for, draw_symbols, run_link)
 
 
-def _configs(variant="sys2", n_symbols=10000, seed=1, bbpf=0.9, ibo=0.1):
+def _configs(variant="sys2", n_symbols=10000, seed=1, bbpf=0.9, ibo=0.1, order=4):
     sys_cfg = SystemConfig(variant=variant, n_symbols=n_symbols, seed=seed)
-    pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(bbpf, sys_cfg, 4))
+    pa_cfg = PaConfig(ibo=ibo, bpf=bpf_spec_for(bbpf, sys_cfg, order))
     return sys_cfg, pa_cfg, ChannelConfig()
 
 
@@ -323,14 +323,16 @@ class TestRunLink:
         # value is freed, so a miss never holds the two at once.
         clear_run_caches()
         run_link(*_configs(variant="sys1", n_symbols=500))
-        # Weak references to each kept array and to the PSD; the RMS is a float.
+        # Weak references to each kept array, the front end's two and the
+        # PSD's two among them (a tuple holds its arrays, so it is dead once they
+        # are, and takes no weak reference itself); the RMS is a float.
         kept = {kind: value for kind, (_, value) in pipeline._kept.items()}
-        psd = kept.pop("drive psd")
         old = {kind: [weakref.ref(value)] for kind, value in kept.items()
-               if kind not in ("front end", "rms")}
+               if kind not in ("front end", "drive psd", "rms")}
         old.update({"front end": [weakref.ref(part) for part in kept["front end"]], "rms": [],
-                    "drive psd": [weakref.ref(part) for part in (psd, psd.freqs, psd.values)]})
-        del kept, psd
+                    "drive psd": [weakref.ref(part) for part in kept["drive psd"][:2]]})
+        del kept
+        # Each kind's first call makes its value; mean_of's later two are the powers.
         seen = {}
         for kind, owner, name in (("tx", pipeline, "draw_symbols"),
                                   ("front end", dsp, "receive_noise_root"),
@@ -339,7 +341,8 @@ class TestRunLink:
                                   ("dac_in", dsp, "upsample_zero_insert"),
                                   ("rms", pa, "mean_of"), ("drive psd", metrics, "welch_psd")):
             def made(*args, _fn=getattr(owner, name), _kind=kind):
-                seen[_kind] = (_kind in pipeline._kept, [ref() is None for ref in old[_kind]])
+                seen.setdefault(_kind, (_kind in pipeline._kept,
+                                        [ref() is None for ref in old[_kind]]))
                 return _fn(*args)
 
             monkeypatch.setattr(owner, name, made)
@@ -429,7 +432,8 @@ class TestRunLink:
     def test_a_warm_point_draws_shapes_and_scales_nothing(self, monkeypatch, clear_run_caches):
         # Every point of a system shares its symbols, taps, DAC input and drive
         # RMS: a second back-off and width draws no symbol, designs no RRC and
-        # takes no RMS, and still quantizes and upconverts its own drive.
+        # takes no RMS, and still quantizes and upconverts its own drive and
+        # takes its two powers (mean_of on y).
         calls = []
         for owner, name in ((pipeline, "draw_symbols"), (dsp, "design_rrc"),
                             (dsp, "fir_filter"), (pa, "mean_of"), (dsp, "upconvert")):
@@ -441,10 +445,11 @@ class TestRunLink:
         clear_run_caches()
         run_link(*_configs(n_symbols=500))
         assert sorted(calls) == ["design_rrc", "draw_symbols", "fir_filter", "fir_filter",
-                                 "mean_of", "upconvert"]
+                                 "mean_of", "mean_of", "mean_of", "upconvert"]
         calls.clear()
         run_link(*_configs(n_symbols=500, ibo=1.0, bbpf=1.3))
-        assert sorted(calls) == ["fir_filter", "upconvert"]  # the matched filter
+        # The matched filter and the two powers.
+        assert sorted(calls) == ["fir_filter", "mean_of", "mean_of", "upconvert"]
 
     @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
     def test_cached_bandpass_follows_every_input(self, clear_run_caches):
@@ -645,14 +650,14 @@ class TestReceiverNoise:
                 assert error <= 1e-11, (order, analog_sps, error)
 
 
-def _point_with_output(variant, bbpf, monkeypatch):
-    """One point at ibo 0.1 and 10^4 symbols: its metrics, the PSD its b_pa
-    was read from, the amplifier output y and the configs."""
+def _point_with_output(variant, bbpf, monkeypatch, order=4):
+    """One point at ibo 0.1 and 10^4 symbols, bandpass order 4 unless given: its
+    metrics, the PSD its b_pa was read from, the amplifier output y and the configs."""
     seen = {}
 
-    def kept_output(v, sos, window, _fn=pa.bandpass_reconstruct):
-        seen["y"], sums = _fn(v, sos, window)
-        return seen["y"], sums
+    def kept_output(v, sos, _fn=pa.bandpass_reconstruct):
+        seen["y"] = _fn(v, sos)
+        return seen["y"]
 
     def kept_psd(psd, fc, _fn=metrics.occupied_bandwidth):
         seen["psd"] = psd
@@ -660,7 +665,7 @@ def _point_with_output(variant, bbpf, monkeypatch):
 
     monkeypatch.setattr(pa, "bandpass_reconstruct", kept_output)
     monkeypatch.setattr(metrics, "occupied_bandwidth", kept_psd)
-    sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, bbpf=bbpf)
+    sys_cfg, pa_cfg, ch_cfg = _configs(variant=variant, bbpf=bbpf, order=order)
     m = run_link(sys_cfg, pa_cfg, ch_cfg)
     monkeypatch.undo()
     return m, seen["psd"], seen["y"], sys_cfg, pa_cfg
@@ -671,12 +676,14 @@ def _point_with_output(variant, bbpf, monkeypatch):
 # Hann window smears the bandpass's skirts in a Welch of y; the clipped drive's
 # PSD is smooth, so |H|^2 times it is not smeared. 0.0801 B is just above the
 # narrowest width order 4 accepts (0.0800 B). Bounds fixed before the run.
+# Order 1's skirts fall slowly, so at 0.4 B the 32-symbol Welch of y can read
+# closer than b_pa (sys2: -0.02% against -0.33%); there only the 1% holds.
 @pytest.mark.filterwarnings("ignore::onebitlink.dsp.AlignmentAmbiguityWarning")
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_occupied_bandwidth_is_close_to_a_long_segment_welch_of_the_output(variant,
                                                                          monkeypatch):
-    for bbpf in (0.4, 0.0801, 0.9):
-        m, _, y, sys_cfg, _ = _point_with_output(variant, bbpf, monkeypatch)
+    for bbpf, order in ((0.4, 4), (0.0801, 4), (0.9, 4), (0.4, 1), (0.9, 1)):
+        m, _, y, sys_cfg, _ = _point_with_output(variant, bbpf, monkeypatch, order)
         fs, fc, y = sys_cfg.fs(), sys_cfg.fc(), y[sys_cfg.window]
         seg = 256 * sys_cfg.analog_sps
         freqs, values = sig.welch(y, fs=fs, window="hann", nperseg=seg, noverlap=seg // 2,
@@ -685,10 +692,10 @@ def test_occupied_bandwidth_is_close_to_a_long_segment_welch_of_the_output(varia
             metrics.PsdEstimate(freqs, values, float(np.sum(values) * (freqs[1] - freqs[0]))),
             fc)
         short = metrics.occupied_bandwidth(metrics.welch_psd(y, fs), fc)
-        if bbpf < 0.9:
+        if bbpf < 0.9 and order > 1:
             assert abs(m.b_pa - reference) < abs(short - reference), (bbpf, m.b_pa, short)
         if bbpf > 0.1:
-            assert m.b_pa == pytest.approx(reference, rel=0.01), bbpf
+            assert m.b_pa == pytest.approx(reference, rel=0.01), (bbpf, order)
 
 
 # The filtered drive PSD integrates to the output's mean power, which ties
