@@ -138,9 +138,9 @@ def zoh_hold(x, M):
     return np.repeat(np.asarray(x), M)
 
 
-# Multiply-adds per matrix-product block: OpenBLAS runs a product this small on
-# the calling thread, so the --jobs worker processes stay the only parallelism.
-_BLAS_BLOCK = 2 ** 16
+# Multiply-adds per matrix-product block: OpenBLAS runs a product of at most
+# 65536 x 4 on the calling thread, so the --jobs workers stay the only parallelism.
+_BLAS_BLOCK = 2 ** 18
 
 
 def _matmul(a, b):
@@ -306,8 +306,8 @@ def align(tx, rx_soft, trim, stride):
     step. The pair is tx[n] and c * rx_soft[lag + stride*n], less trim symbols at
     each end, so the window spans only delays that the trim discards. A second lag
     within 1% of the peak issues an AlignmentAmbiguityWarning and the smallest
-    qualifying lag wins; a peak on the last lag may lie beyond the window, so it
-    raises ValueError.
+    qualifying lag wins. A peak on the last lag may lie beyond the window, which
+    the settings size, so it raises ConfigurationError.
     """
     tx, rx_soft = np.asarray(tx), np.asarray(rx_soft)
     max_lag = trim * stride
@@ -322,7 +322,9 @@ def align(tx, rx_soft, trim, stride):
     if peak <= 0.0:
         raise ValueError("no overlap between tx and rx_soft within the lag window")
     if metric.argmax() == max_lag:
-        raise ValueError(f"correlation peaks on the last lag {max_lag} of the window")
+        raise ConfigurationError(
+            f"the link's delay reaches the last lag {max_lag} of the alignment window, rrc_span "
+            f"x adc_sps = {trim} x {stride} ADC samples; a longer system.rrc_span widens it")
     qualifying = np.flatnonzero(metric >= 0.99 * peak)  # always holds the argmax
     if len(qualifying) > 1:
         warnings.warn(

@@ -34,8 +34,8 @@ _VARIANT_TABLE = {"sys1": (True, False, 8), "sys2": (True, True, 2), "sys3": (Fa
 VARIANTS = tuple(_VARIANT_TABLE)
 
 # Largest analog-rate frame (n_symbols * analog_sps), 13x the default frame: a
-# run's traced peak is about 0.8 complex frames (0.82-0.86 for sys1-3 at the
-# default frame with the caches cleared, 0.75-0.76 warm).
+# run's traced peak is about 0.8 complex frames (0.83-0.86 for sys1-3 at the
+# default frame with the caches cleared, 0.76 warm).
 MAX_FRAME_SAMPLES = 2 ** 24
 
 
@@ -93,6 +93,9 @@ class SystemConfig:
     def one_bit(self):
         return _VARIANT_TABLE[self.variant][1]
 
+    def convert(self, x):  # x through the variant's converter: its 1-bit rails, or x itself
+        return quantizers.one_bit_quantize(x) if self.one_bit else x
+
     @property
     def mi_bins(self):
         """MI histogram bins per dimension."""
@@ -132,7 +135,7 @@ def draw_symbols(n, rng):
 def _stage(name):
     try:
         yield
-    except ConfigurationError:  # a setting found bad mid-run: an unstable filter design
+    except ConfigurationError:  # found bad mid-run: an unstable filter, a delay on align's last lag
         raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
@@ -180,17 +183,16 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     """Run the full chain once and return LinkMetrics.
 
     The configured seed feeds a SeedSequence whose two children drive the
-    symbol source and the channel noise. Each stage keeps what later points
-    can reuse through _keep, one entry a kind, made inside the stage that
-    first needs it: by sys_cfg, the symbols ("tx"), the RRC taps ("taps"),
-    the DAC's input before the converter ("dac_in") and the drive's RMS over
+    symbol source and the channel noise. What later points can reuse is kept
+    through _keep, one entry a kind, made in the stage that first needs it:
+    by sys_cfg, the DAC's output at its rate ("dac") and the drive's RMS over
     the window ("rms"); by (lpf, fs, step, k), the lowpass both ends use and
     the receiver noise's root ("front end"); by (seed, lpf, fs, step, k), the
     noise at the ADC rate ("noise"); by (sys_cfg, ibo), the clipped drive's
     Welch PSD ("drive psd"), from which b_pa is read as |H|^2 S_v for each
-    bandpass. The bandpass designs are cached by spec and rate (_bandpass).
-    A point still converts, upconverts, scales, clips and filters its own
-    drive. Identical configurations reproduce bit-identical metrics. Each
+    bandpass (designs cached by _bandpass). A point still draws its symbols,
+    designs its RRC taps, and upconverts, scales, clips and filters its own
+    drive. Identical configurations give bit-identical metrics; each
     frame-length intermediate is freed after its last use.
     """
     fs = sys_cfg.fs()
@@ -200,8 +202,8 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
     front_key = (sys_cfg.lpf, fs, step, k)
 
     with _stage("source"):
-        tx = _keep("tx", sys_cfg, lambda: draw_symbols(sys_cfg.n_symbols, np.random.default_rng(
-            np.random.SeedSequence(sys_cfg.seed).spawn(2)[0])))
+        tx = draw_symbols(sys_cfg.n_symbols, np.random.default_rng(
+            np.random.SeedSequence(sys_cfg.seed).spawn(2)[0]))
         # The lowpass both ends use, and the channel noise after the receive front
         # end, drawn before any frame-length buffer exists to keep the peak low.
         lpf_sos, root = _keep("front end", front_key, lambda: (
@@ -211,16 +213,13 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
 
     with _stage("tx-shaping"):
         # One RRC design serves the transmit shaper and the receive matched filter.
-        taps = _keep("taps", sys_cfg, lambda: dsp.design_rrc(sys_cfg.rrc))
-        dac_in = _keep("dac_in", sys_cfg, lambda: dsp.fir_filter(
-            dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps) if sys_cfg.shaped else tx)
+        taps = dsp.design_rrc(sys_cfg.rrc)
+        dac = _keep("dac", sys_cfg, lambda: sys_cfg.convert(dsp.fir_filter(
+            dsp.upsample_zero_insert(tx, sys_cfg.adc_sps), taps) if sys_cfg.shaped else tx))
 
     with _stage("dac"):
-        if sys_cfg.one_bit:
-            dac_in = quantizers.one_bit_quantize(dac_in)
-        # The shaper's output sets the DAC rate; the hold fills the analog frame.
-        wave = dsp.upconvert(dac_in, lpf_sos, n_frame // len(dac_in), sys_cfg.fc(), fs)
-        del dac_in  # a 1-bit DAC's converted copy; the kept input stays
+        # The DAC's output sets its rate; the hold fills the analog frame.
+        wave = dsp.upconvert(dac, lpf_sos, n_frame // len(dac), sys_cfg.fc(), fs)
 
     with _stage("pa"):
         s, f_pa, f_t = pa_cfg.power_factors()
@@ -251,9 +250,7 @@ def run_link(sys_cfg, pa_cfg, ch_cfg):
         # The kernel is linear, so the noise joins at its output and the
         # received frame y + noise is never built.
         rx = dsp.downconvert(y, lpf_sos, step, sys_cfg.fc(), fs) + scale * noise
-        if sys_cfg.one_bit:
-            rx = quantizers.one_bit_quantize(rx)
-        rx = dsp.fir_filter(rx, taps)  # matched filter, at adc_sps
+        rx = dsp.fir_filter(sys_cfg.convert(rx), taps)  # the ADC, then the matched filter
 
     with _stage("align"):
         _, _, tx_kept, rx_kept = dsp.align(tx, rx, sys_cfg.rrc.span, stride=sys_cfg.adc_sps)

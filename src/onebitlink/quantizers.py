@@ -13,6 +13,6 @@ def one_bit_quantize(x):
     where a rail within 16 eps max|x| of 0 is 0 (a BLAS kernel sums an exact 0 to +-1e-17)."""
     x = np.asarray(x)
     zero = 16.0 * np.finfo(np.float64).eps * np.max(np.abs(x), initial=0.0)
-    re = np.where(x.real >= -zero, RAIL_LEVEL, -RAIL_LEVEL)
-    im = np.where(x.imag >= -zero, RAIL_LEVEL, -RAIL_LEVEL)
-    return re + 1j * im
+    rails = np.where(x.real >= -zero, RAIL_LEVEL, -RAIL_LEVEL).astype(np.complex128)
+    rails.imag = np.where(x.imag >= -zero, RAIL_LEVEL, -RAIL_LEVEL)  # in place: no 1j * im
+    return rails

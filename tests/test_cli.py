@@ -560,6 +560,27 @@ class TestBadInput:
         assert "configuration error" in err and "unstable butterworth design: synthetic" in err
         assert not (tmp_path / "o").exists()
 
+    def test_delay_on_the_last_alignment_lag_exits_1(self, tmp_path, capsys):
+        # The delay rule counts the bandpass only, so two order-16 lowpasses
+        # at a span of 8 put this link's delay on align's last lag. run exits
+        # 1 without a directory; a sweep logs the point and runs the next width.
+        cfg = _write_cfg(tmp_path, (
+            "system.variant = sys3\nsystem.n_symbols = 300\nsystem.analog_sps = 64\n"
+            "system.fc_multiple = 8\nsystem.rrc_rolloff = 1\nsystem.rrc_span = 8\n"
+            "system.lpf_order = 16\npa.bpf_order = 5\npa.ibo = 1\n"
+            "pa.bbpf_over_b = 0.30078125\nchannel.sinr_db = 60\n"
+            "grid.ibo = 1\ngrid.bbpf = 0.30078125, 0.9\ngrid.systems = sys3\n"))
+        assert cli.main(["run", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "r")]) == 1
+        reason = "the link's delay reaches the last lag 32 of the alignment window"
+        err = capsys.readouterr().err
+        assert "configuration error" in err and reason in err and "system.rrc_span" in err
+        assert not (tmp_path / "r").exists()
+        assert cli.main(["sweep", "--config", cfg, "--seed", "0", "--jobs", "1",
+                         "--out", str(tmp_path / "s")]) == 0
+        failures = (tmp_path / "s" / "failures.log").read_text().splitlines()
+        assert len(failures) == 1
+        assert failures[0].startswith(f"sys3,1,0.300781,ConfigurationError: {reason}")
+
 
 class TestAmam:
     def test_curve_file(self, tmp_path):
